@@ -298,9 +298,9 @@ def cmd_kenergy(args):
         "dilation_order": f.dilation_order(),
     }
     if args.method in ("integral", "both"):
-        report["integral"] = k_energy_integral(f, seed=args.seed)
+        report["integral"] = k_energy_integral(f)
     if args.method in ("pairing", "both"):
-        report["pairing"] = k_energy_pairing(f, seed=args.seed)
+        report["pairing"] = k_energy_pairing(f)
     if args.method == "both":
         report["match"] = report["integral"] == report["pairing"]
         report["k_energy"] = report["integral"]
@@ -351,8 +351,6 @@ def build_parser():
                         help="checkpoint file; resumed when it already exists")
     common.add_argument("--out", metavar="FILE",
                         help="write the JSON report here instead of stdout")
-    common.add_argument("--seed", type=int, default=0, metavar="N",
-                        help="seed for randomized refinements")
 
     parser = argparse.ArgumentParser(
         prog="regtriang",

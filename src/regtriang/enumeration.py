@@ -14,7 +14,7 @@ from hashlib import blake2b
 from os import path as os_path
 
 from .checkpoint import CheckpointWriter, read_checkpoint
-from .errors import BudgetExceeded, DigestMismatch
+from .errors import BudgetExceeded, CheckFailed, DigestMismatch
 from .geometry import PointConfiguration
 from .triangulation import Triangulation, engine, flip, placing_triangulation, supported_flips
 
@@ -116,7 +116,8 @@ def enumerate_regular(
                 config_digest=config.digest(),
                 params={"budget": budget, "jobs": jobs},
             )
-        assert eng.regular_quick(Triangulation.decode(config, seed_enc).masks)[0]
+        if not eng.regular_quick(Triangulation.decode(config, seed_enc).masks)[0]:
+            raise CheckFailed(f"placing triangulation {seed_enc} not certified regular")
         visited.add(_digest(seed_enc))
         count = 1
         if collect:

@@ -37,6 +37,10 @@ class DimensionUnsupported(RegtriangError):
     """Operation restricted to a specific dimension (prisms need n = 2)."""
 
 
+class CheckFailed(RegtriangError):
+    """An exact certificate, construction or bound failed its check."""
+
+
 class NonConvex(RegtriangError):
     """Heights do not describe a convex piecewise-linear function."""
 

@@ -243,7 +243,11 @@ class LatticePolytope:
                     rhs = [a - b for a, b in zip(p, self.base)]
                     sol = solve_rational(rows, rhs)
                     assert sol is not None
-                    out.append(tuple(sol))
+                    # integral coordinates as ints keep the hull arithmetic
+                    # off Fractions
+                    out.append(
+                        tuple(int(x) if x.denominator == 1 else x for x in sol)
+                    )
                 self._reduced = out
         return self._reduced
 
@@ -517,6 +521,7 @@ class PointConfiguration:
         self.name = name
         self._polytope = None
         self._face_masks = {}
+        self._engine = None  # set by triangulation.engine on first use
 
     def __len__(self):
         return len(self.points)

@@ -11,18 +11,22 @@ with the weight vectors of a triangulation refining f's domains of
 linearity; both routes are exact rationals and must agree.
 """
 
-import random
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
-from .errors import LinearityViolation, NonConvex, TriangulationMismatch
+from .errors import CheckFailed, LinearityViolation, NonConvex, TriangulationMismatch
 from .geometry import LatticePolytope, PointConfiguration
 from .linalg import lattice_length, scale_to_integers
 from .polytopes import hurwitz_degree_formula
-from .triangulation import Triangulation, engine, height_subdivision, max_eq_lp
+from .triangulation import (
+    Triangulation,
+    engine,
+    height_subdivision,
+    max_eq_lp,
+    placing_triangulation,
+)
 from .weights import eta_k, hurwitz_vector
-
-_PERTURB_DEN = 1 << 62
 
 
 def _hull_value(config, heights, point):
@@ -47,6 +51,8 @@ class PLFunction:
         if len(self.heights) != len(config):
             raise ValueError("one height per configuration point")
         self._faithful = None
+        self._order = None
+        self._dilated = {}
 
     @classmethod
     def from_heights(cls, config, heights):
@@ -92,6 +98,11 @@ class PLFunction:
     def value_at_label(self, label):
         return self.heights[label - 1]
 
+    @cached_property
+    def refinement(self):
+        """Regular triangulation refining the heights' subdivision."""
+        return _refine_heights(self.config, self.heights)
+
     @property
     def is_faithful(self):
         """Whether the heights' lower hull reproduces the function."""
@@ -99,7 +110,7 @@ class PLFunction:
             if self.forms is None:
                 self._faithful = True
             else:
-                t, _ = _refine_heights(self.config, self.heights)
+                t = self.refinement
                 self._faithful = all(
                     _linear_on_cell(self, t, cell) for cell in t.cells
                 )
@@ -107,15 +118,31 @@ class PLFunction:
 
     def dilation_order(self):
         """Minimal k so the function on kQ has lattice linearity domains."""
+        if self._order is None:
+            self._order = self._least_clearing_order()
+        return self._order
+
+    def _least_clearing_order(self):
         if self.is_faithful:
             return 1
-        for k in range(2, _dilation_bound(self) + 1):
+        bound = _dilation_bound(self)
+        for k in range(2, bound + 1):
             if self.dilate(k).is_faithful:
                 return k
-        raise AssertionError("dilation bound failed to clear denominators")
+        raise CheckFailed(f"no dilation up to the bound {bound} clears denominators")
+
+    def _at_order(self):
+        """(g, k): the function on kQ for its dilation order k; g is f at k = 1."""
+        k = self.dilation_order()
+        return (self if k == 1 else self.dilate(k)), k
 
     def dilate(self, k):
-        """The function x -> k f(x/k) on the lattice points of kQ."""
+        """The function x -> k f(x/k) on the lattice points of kQ, built once per k."""
+        if k not in self._dilated:
+            self._dilated[k] = self._dilate(k)
+        return self._dilated[k]
+
+    def _dilate(self, k):
         scaled = LatticePolytope(
             [
                 tuple(k * x for x in self.config.point(label))
@@ -147,9 +174,13 @@ def _dilation_bound(f):
     forms = f.forms or ()
     for i in range(len(forms)):
         for j in range(i + 1, len(forms)):
-            diff = tuple(a - b for a, b in zip(forms[i], forms[j]))
+            # the whole difference, constant included, is made integral:
+            # the constant's denominator moves the line off the lattice
+            diff = scale_to_integers(
+                tuple(a - b for a, b in zip(forms[i], forms[j]))
+            )[0]
             if any(diff[:-1]):
-                lines.append(scale_to_integers(diff[:-1])[0])
+                lines.append(diff[:-1])
     for normal, _ in f.config.polytope.facets:
         lines.append(tuple(normal))
     bound = 1
@@ -162,28 +193,22 @@ def _dilation_bound(f):
     return max(bound, 1)
 
 
-def _refine_heights(config, heights, seed=0):
+def _refine_heights(config, heights):
     """Regular triangulation refining the subdivision of the heights.
 
-    Perturbs the heights by an amount far below any nonzero integer gap,
-    so every cell of the perturbed lower hull sits inside a cell of the
-    original subdivision; redraws on the measure-zero chance of a tie.
+    Each cell of the subdivision is triangulated by placing its points in
+    label order. Placing refinements of one order agree on shared faces,
+    and the placing refinement of a regular subdivision is regular
+    (De Loera-Rambau-Santos, Triangulations, section 4.3).
     """
-    den = 1
-    for h in heights:
-        den = den * h.denominator // gcd(den, h.denominator)
-    base = [h * den for h in heights]
-    rng = random.Random(seed)
-    for _ in range(32):
-        jitter = [
-            h + Fraction(rng.randrange(1, 1 << 31), _PERTURB_DEN)
-            for h in base
-        ]
-        cells = height_subdivision(config, jitter)
-        if all(len(c) == 3 for c in cells):
-            return Triangulation(config, cells), jitter
-        rng = random.Random(rng.random())
-    raise AssertionError("could not find a simplicial perturbation")
+    simplex = config.dim + 1
+    cells = []
+    for cell in height_subdivision(config, heights):
+        if len(cell) == simplex:
+            cells.append(cell)
+        else:
+            cells.extend(placing_triangulation(config, cell).cells)
+    return Triangulation(config, cells)
 
 
 def _linear_on_cell(f, triangulation, cell):
@@ -196,7 +221,7 @@ def _linear_on_cell(f, triangulation, cell):
     return f(centroid) == average
 
 
-def induced_triangulation(f, seed=0):
+def induced_triangulation(f):
     """Regular triangulation on whose cells f is linear, with the dilation.
 
     Returns (triangulation, k). When f's linearity domains already have
@@ -205,12 +230,9 @@ def induced_triangulation(f, seed=0):
     lattice points of kQ for the minimal clearing k and the triangulation
     refers to that dilated configuration.
     """
-    k = f.dilation_order()
-    g = f if k == 1 else f.dilate(k)
-    t, _ = _refine_heights(g.config, g.heights, seed=seed)
-    for cell in t.cells:
-        if not _linear_on_cell(g, t, cell):
-            raise AssertionError("perturbed refinement left a nonlinear cell")
+    g, k = f._at_order()
+    t = g.refinement
+    _check_cells(g, t, CheckFailed)
     return t, k
 
 
@@ -264,11 +286,10 @@ def boundary_integral(f, triangulation):
     return total
 
 
-def k_energy_integral(f, seed=0):
+def k_energy_integral(f):
     """L(f) from the two integrals, dilating first when f needs it."""
-    k = f.dilation_order()
-    g = f if k == 1 else f.dilate(k)
-    t, _ = _refine_heights(g.config, g.heights, seed=seed)
+    g, k = f._at_order()
+    t = g.refinement
     poly = g.config.polytope
     n = poly.dim
     ratio = Fraction(poly.boundary_volume(), poly.normalized_volume())
@@ -276,17 +297,16 @@ def k_energy_integral(f, seed=0):
     return energy / (k * k)
 
 
-def k_energy_pairing(f, triangulation=None, seed=0):
+def k_energy_pairing(f, triangulation=None):
     """L(f) through the weight vectors of a refining triangulation.
 
     Pairs the heights with n deg(Hurwitz) eta - (n+1) deg(Chow) xi and
     divides by (n+1)! vol(Q). The triangulation must refine f's domains
     of linearity; one is constructed when not supplied.
     """
-    k = f.dilation_order()
-    g = f if k == 1 else f.dilate(k)
+    g, k = f._at_order()
     if triangulation is None:
-        triangulation, _ = _refine_heights(g.config, g.heights, seed=seed)
+        triangulation = g.refinement
     elif k != 1:
         raise TriangulationMismatch(
             "function needs dilation; pass no triangulation"

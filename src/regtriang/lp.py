@@ -7,6 +7,7 @@ data. Bland's rule makes both phases terminate despite degeneracy.
 
 from fractions import Fraction
 
+from .errors import CheckFailed
 from .linalg import scale_to_integers
 
 
@@ -193,8 +194,10 @@ def strict_feasible(rows):
         return False, u, None
     g = tuple(y[:m])
     margin = -y[m]
-    assert margin > 0
+    if margin <= 0:
+        raise CheckFailed(f"Farkas certificate has margin {margin}")
     for r in rows:
         val = sum(a * gi for a, gi in zip(r, g))
-        assert val >= margin
+        if val < margin:
+            raise CheckFailed(f"certificate gives {val} < margin {margin} on row {r}")
     return True, g, margin

@@ -10,7 +10,7 @@ on their shared rectangle diagonals.
 
 from dataclasses import dataclass
 
-from .errors import DimensionUnsupported
+from .errors import CheckFailed, DimensionUnsupported
 from .geometry import PointConfiguration
 from .triangulation import Triangulation, _mask, engine, flip
 from .weights import WeightVector, massive_gkz
@@ -60,9 +60,12 @@ def vertical_triangulation(base_triangulation):
         cells.append((x1, x2, x2 + m, x3 + m))
         cells.append((x1, x1 + m, x2 + m, x3 + m))
     t = Triangulation(prism, cells)
-    assert _facet_restriction(t, bottom=True) == set(base_triangulation.cells)
-    assert _facet_restriction(t, bottom=False) == set(base_triangulation.cells)
-    assert engine(prism).regular_quick(t.masks)[0], "staircase lift not regular"
+    for bottom in (True, False):
+        if _facet_restriction(t, bottom) != set(base_triangulation.cells):
+            level = "bottom" if bottom else "top"
+            raise CheckFailed(f"staircase lift differs from the base on the {level}")
+    if not engine(prism).regular_quick(t.masks)[0]:
+        raise CheckFailed("staircase lift not regular")
     return t
 
 

@@ -6,11 +6,13 @@ affine dependences and containment tests, since enumeration revisits the
 same small sets constantly.
 """
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from .errors import (
+    CheckFailed,
     DegenerateSimplex,
     OverlapNotFace,
     UnsupportedFlip,
@@ -163,7 +165,7 @@ class Engine:
     """Per-configuration caches and the flip/regularity machinery."""
 
     def __init__(self, config):
-        self.config = config
+        # no reference back to config, so dropping it frees the engine too
         self.pts = config.points
         self.m = len(config.points)
         self.n = config.dim
@@ -326,16 +328,18 @@ class Engine:
         return False, None
 
 
-_ENGINES = {}
+# Live engines, for instrumentation only. The values are weak: an engine
+# lives exactly as long as the configuration that holds it.
+_ENGINES = weakref.WeakValueDictionary()
 
 
 def engine(config):
-    key = id(config)
-    got = _ENGINES.get(key)
-    if got is None or got.config is not config:
-        got = Engine(config)
-        _ENGINES[key] = got
-    return got
+    """The configuration's engine, built on first use and kept on it."""
+    eng = config._engine
+    if eng is None:
+        eng = config._engine = Engine(config)
+        _ENGINES[id(eng)] = eng
+    return eng
 
 
 def max_eq_lp(c, cols, b):
@@ -389,18 +393,14 @@ def max_eq_lp(c, cols, b):
             tab.pivot(row, target)
         row += 1
     # phase 2: swap in the real objective, keep artificials out
-    den = tab.den
-    cost = [Fraction(x) for x in list(c) + [0] * m] + [Fraction(0)]
-    new0 = [x * den for x in cost]
+    # basic columns are den times unit columns, so pricing out each basic
+    # variable subtracts its cost times its row, all in integers
+    cost = list(c) + [0] * (m + 1)
+    row0 = [tab.den * x for x in cost]
     for i, var in enumerate(tab.basis):
-        f = new0[var]
+        f = cost[var]
         if f:
-            rowi = tab.t[i + 1]
-            new0 = [a - f * Fraction(bb, den) for a, bb in zip(new0, rowi)]
-    row0 = []
-    for x in new0:
-        assert x.denominator == 1
-        row0.append(int(x))
+            row0 = [a - f * b for a, b in zip(row0, tab.t[i + 1])]
     tab.t[0] = row0
     tab.ncols = n + 1  # bar artificial columns from entering
     status = tab.bland()
@@ -415,8 +415,10 @@ def lower_hull_subdivision(config_points, heights):
 
     Base points must span their ambient space. A height vector whose lift
     is not full-dimensional (an affine function) yields the single
-    trivial cell.
+    trivial cell. Heights are scaled to integers first: a positive scale
+    leaves the cells unchanged and keeps the hull arithmetic on ints.
     """
+    heights, _ = scale_to_integers(heights)
     lifted = [tuple(p) + (h,) for p, h in zip(config_points, heights)]
     poly = LatticePolytope(lifted)
     base_dim = len(config_points[0])
@@ -469,10 +471,7 @@ def is_regular(triangulation):
             rows.append(row)
     if not rows:
         # every point is a vertex of the single cell; all heights work
-        heights = tuple(Fraction(0) for _ in range(m))
-        rebuilt = lower_hull_subdivision(config.points, heights)
-        assert tuple(sorted(rebuilt)) == tuple(sorted(triangulation.masks))
-        return heights
+        return _reconstructed(triangulation, tuple(Fraction(0) for _ in range(m)))
     # to standard <= form with x = g + 1 in [0, 2]: coefficient sums over
     # g-entries are zero, so the substitution leaves row values unchanged
     ineq = [[-v for v in row] for row in rows]
@@ -486,11 +485,14 @@ def is_regular(triangulation):
     assert status == "optimal"
     if delta <= 0:
         return NOT_REGULAR
-    heights = tuple(xi - 1 for xi in x[:m])
-    rebuilt = lower_hull_subdivision(config.points, heights)
-    assert tuple(sorted(rebuilt)) == tuple(sorted(triangulation.masks)), (
-        "certificate failed to reproduce the triangulation"
-    )
+    return _reconstructed(triangulation, tuple(xi - 1 for xi in x[:m]))
+
+
+def _reconstructed(triangulation, heights):
+    """The heights, once their lower hull is checked to be the triangulation."""
+    rebuilt = lower_hull_subdivision(triangulation.config.points, heights)
+    if sorted(rebuilt) != sorted(triangulation.masks):
+        raise CheckFailed("certificate failed to reproduce the triangulation")
     return heights
 
 

@@ -334,12 +334,12 @@ def test_09_k_energy_pairing_equals_integral():
                 for _ in cfg.points
             ]
             f = PLFunction.envelope(cfg, raw)
-            t, k = induced_triangulation(f, seed=trial)
+            t, k = induced_triangulation(f)
             assert k == 1
             integral = boundary_integral(f, t) - n * ratio * integral_over_Q(f, t)
             assert k_energy_pairing(f, t) == integral
             if trial < 10:
-                assert k_energy_integral(f, seed=trial) == integral
+                assert k_energy_integral(f) == integral
                 double = PLFunction.from_heights(
                     cfg, [2 * h for h in f.heights]
                 )

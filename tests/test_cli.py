@@ -240,6 +240,16 @@ def test_kenergy_affine_and_methods(tmp_path, capsys):
     assert "pairing" not in single
 
 
+def test_kenergy_fractional_constant_dilates_by_four(tmp_path, capsys):
+    # [DERIVED] max(x, 1/2 - x) breaks at x = 1/4: dilation order 4.
+    path = tmp_path / "fn.json"
+    path.write_text(json.dumps({"affine": [[1, 0, 0], [-1, 0, "1/2"]]}))
+    code, report = run_json(["kenergy", "square", "--function", str(path)], capsys)
+    assert code == 0
+    assert report["dilation_order"] == 4
+    assert report["match"] is True
+
+
 @pytest.mark.parametrize(
     "payload",
     [

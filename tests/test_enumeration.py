@@ -1,4 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
+
+import regtriang
 
 from regtriang.checkpoint import read_checkpoint
 from regtriang.enumeration import enumerate_regular
@@ -131,3 +137,33 @@ def test_corrupt_checkpoint_is_reported(tmp_path):
         fh.writelines(lines)
     with pytest.raises(CheckpointCorrupt):
         enumerate_regular(SQUARE, checkpoint_path=path, resume=True)
+
+
+_UNDER_O = """
+from regtriang import triangulation
+from regtriang.enumeration import enumerate_regular
+from regtriang.errors import CheckFailed
+from regtriang.fixtures import fixture
+from regtriang.prism import prism_configuration, vertical_triangulation
+
+square = fixture("square")
+print(enumerate_regular(prism_configuration(square)).count)
+base = triangulation.placing_triangulation(square)
+triangulation.Engine.regular_quick = lambda self, masks: (False, None)
+try:
+    vertical_triangulation(base)
+except CheckFailed:
+    print("checked")
+"""
+
+
+def test_cube_enumeration_under_optimize():
+    # [PAPER] 74 regular triangulations of the cube, with asserts stripped;
+    # the regularity check of the staircase lift still runs.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(regtriang.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _UNDER_O],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert out.stdout.split() == ["74", "checked"]

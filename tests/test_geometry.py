@@ -209,3 +209,10 @@ def test_triangulate_covers_volume():
     from regtriang.linalg import normalized_simplex_volume
 
     assert sum(normalized_simplex_volume(t) for t in tris) == 6
+
+
+def test_reduced_coordinates_of_lattice_points_are_ints():
+    poly = LatticePolytope([(0, 0, 0), (2, 1, 0), (1, 3, 5), (4, 4, 1), (1, 1, 1)])
+    assert all(type(x) is int for t in poly.reduced for x in t)
+    half = LatticePolytope([(0, 0), (Fraction(1, 2), 0), (0, 1)])
+    assert {type(x) for t in half.reduced for x in t} == {int, Fraction}

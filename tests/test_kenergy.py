@@ -2,8 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from regtriang.errors import LinearityViolation, NonConvex, TriangulationMismatch
+from regtriang import kenergy
+from regtriang.errors import (
+    CheckFailed,
+    LinearityViolation,
+    NonConvex,
+    TriangulationMismatch,
+)
+from regtriang.fixtures import fixture
 from regtriang.geometry import PointConfiguration
 from regtriang.kenergy import (
     PLFunction,
@@ -13,7 +22,7 @@ from regtriang.kenergy import (
     k_energy_integral,
     k_energy_pairing,
 )
-from regtriang.triangulation import Triangulation, is_regular
+from regtriang.triangulation import Triangulation, height_subdivision, is_regular
 
 SQUARE = PointConfiguration([(0, 0), (1, 0), (1, 1), (0, 1)])
 
@@ -147,10 +156,94 @@ def test_random_convex_functions_cross_check():
                 for _ in range(len(config))
             ]
             f = PLFunction.envelope(config, raw)
-            t, k = induced_triangulation(f, seed=trial)
+            t, k = induced_triangulation(f)
             assert k == 1
-            energy = k_energy_integral(f, seed=trial)
+            energy = k_energy_integral(f)
             assert k_energy_pairing(f, t) == energy
             assert k_energy_integral(
                 PLFunction(config, [2 * h for h in f.heights])
             ) == 2 * energy
+
+
+def test_fractional_constant_needs_its_denominator_cleared():
+    # max(x, 1/2 - x) breaks at x = 1/4, so the order is 4, not 2
+    f = PLFunction.from_affine(SQUARE, [(1, 0, 0), (-1, 0, "1/2")])
+    assert f.dilation_order() == 4
+    assert k_energy_integral(f) == k_energy_pairing(f)
+
+
+def test_failed_dilation_bound_is_a_library_error(monkeypatch):
+    monkeypatch.setattr(kenergy, "_dilation_bound", lambda f: 1)
+    f = PLFunction.from_affine(SQUARE, [(0, 0, 0), (2, 0, -1)])
+    with pytest.raises(CheckFailed):
+        f.dilation_order()
+
+
+def _count_refinements(monkeypatch):
+    builds = []
+    real = kenergy._refine_heights
+
+    def counting(config, heights):
+        builds.append(len(config))
+        return real(config, heights)
+
+    monkeypatch.setattr(kenergy, "_refine_heights", counting)
+    return builds
+
+
+def test_one_refinement_per_function(monkeypatch):
+    builds = _count_refinements(monkeypatch)
+    f = PLFunction.from_heights(SQUARE, [0, 1, 0, 1])
+    energy = k_energy_integral(f)
+    assert k_energy_pairing(f) == energy
+    assert induced_triangulation(f)[1] == 1
+    assert builds == [4]
+
+
+def test_one_refinement_per_probed_dilation(monkeypatch):
+    builds = _count_refinements(monkeypatch)
+    # the break line x = 1/3 is probed at k = 1, 2 and 3
+    f = PLFunction.from_affine(SQUARE, [(0, 0, 0), (3, 0, -1)])
+    assert k_energy_integral(f) == k_energy_pairing(f)
+    assert induced_triangulation(f)[1] == 3
+    assert builds == [4, 9, 16]
+
+
+_RATIONAL = st.fractions(min_value=-12, max_value=12, max_denominator=6)
+
+
+@st.composite
+def _heights(draw):
+    config = fixture(draw(st.sampled_from(("square", "4c", "hexagon"))))
+    n = len(config)
+    return config, draw(st.lists(_RATIONAL, min_size=n, max_size=n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_heights())
+def test_refinement_is_a_regular_triangulation_inside_the_subdivision(data):
+    config, heights = data
+    t = kenergy._refine_heights(config, heights)
+    t.validate()
+    assert is_regular(t)
+    coarse = [set(cell) for cell in height_subdivision(config, heights)]
+    for cell in t.cells:
+        assert any(set(cell) <= big for big in coarse)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    _heights(),
+    st.fractions(min_value=Fraction(1, 7), max_value=9, max_denominator=7),
+    st.tuples(*[st.integers(-5, 5)] * 3),
+)
+def test_refinement_ignores_scale_and_affine_shift(data, scale, shift):
+    config, heights = data
+    a1, a2, c = shift
+    moved = [
+        scale * h + a1 * x + a2 * y + c
+        for h, (x, y) in zip(heights, config.points)
+    ]
+    assert kenergy._refine_heights(config, moved) == kenergy._refine_heights(
+        config, heights
+    )

@@ -1,4 +1,5 @@
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -198,3 +199,13 @@ def test_regularity_paths_agree_on_random_height_subdivisions():
         assert eng.regular_quick(t.masks)[0]
         checked += 1
     assert checked >= 40
+
+
+def test_engine_is_freed_with_its_configuration():
+    config = PointConfiguration([(0, 0), (1, 0), (1, 1), (0, 1)])
+    eng = engine(config)
+    assert engine(config) is eng
+    assert is_regular(placing_triangulation(config))
+    freed = weakref.ref(eng)
+    del eng, config
+    assert freed() is None
