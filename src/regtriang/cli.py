@@ -25,6 +25,7 @@ from .fixtures import fixture, fixture_names
 from .geometry import PointConfiguration
 from .kenergy import PLFunction, k_energy_integral, k_energy_pairing
 from .polytopes import (
+    base_polytopes,
     check_conjecture,
     hurwitz_candidate_polytope,
     hurwitz_degree_formula,
@@ -205,8 +206,7 @@ def cmd_check(args):
             "match": half_sum == formula,
         }
     if args.kind == "normal-equiv":
-        chow = secondary_polytope(config, jobs=args.jobs)
-        hurwitz = hurwitz_candidate_polytope(config, jobs=args.jobs)
+        _, chow, hurwitz = base_polytopes(config, jobs=args.jobs)
         report = vertex_edge_correspondence(chow, hurwitz)
         return {"config": config.name, **report}
     report = standard_semistability(config, jobs=args.jobs)

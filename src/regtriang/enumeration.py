@@ -70,10 +70,12 @@ def enumerate_regular(
 
     The flip graph of regular triangulations is connected, so the walk
     from the placing triangulation reaches every one of them. on_accept
-    is called once per newly accepted encoding; a resumed run does not
-    replay earlier acceptances (read the checkpoint for those). Raises
-    BudgetExceeded, after flushing the checkpoint, when the accepted
-    count reaches the budget with work still pending.
+    is called once per accepted encoding, in acceptance order: a resumed
+    run first replays every acceptance its checkpoint holds, in file
+    order, and then continues the search, so the stream is the same as
+    the collected encodings. Raises BudgetExceeded, after flushing the
+    checkpoint, when the accepted count reaches the budget with work
+    still pending.
     """
     eng = engine(config)
     seed_enc = placing_triangulation(config).encode()
@@ -96,6 +98,8 @@ def enumerate_regular(
             visited.add(_digest(enc))
             if collect:
                 encodings.append(enc)
+            if on_accept:
+                on_accept(enc)
         count = len(state.accepted)
         if state.done:
             return EnumerationResult(count, True, encodings)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import BadConfig, DimensionUnsupported
+from .errors import BadConfig, CheckFailed, DimensionUnsupported
 from .linalg import (
     integer_kernel,
     lattice_length,
@@ -86,13 +86,14 @@ class _Hull:
             if rank_rows([u, cand]) == 2:
                 w = cand
                 break
-        assert w is not None, "rotation pencil is degenerate"
+        if w is None:
+            raise CheckFailed("rotation pencil is degenerate")
         bvals = [_dot(w, p) - _dot(w, base) for p in pts]
         avals = [_dot(u, p) - _dot(u, base) for p in pts]
         if away_from is not None:
             bv = bvals[away_from]
-            assert avals[away_from] == 0
-            assert bv != 0, "cannot leave the current facet"
+            if avals[away_from] != 0 or bv == 0:
+                raise CheckFailed("cannot leave the current facet")
             if bv < 0:
                 w = tuple(-x for x in w)
                 bvals = [-x for x in bvals]
@@ -100,7 +101,8 @@ class _Hull:
         for a, b in zip(avals, bvals):
             if a > 0 and (best is None or b * best[0] < best[1] * a):
                 best = (a, b)
-        assert best is not None, "hull input not full-dimensional?"
+        if best is None:
+            raise CheckFailed("hull input not full-dimensional")
         a, b = best
         phi = tuple(a * wi - b * ui for wi, ui in zip(w, u))
         phi_int, _ = scale_to_integers(phi)
@@ -140,7 +142,8 @@ class _Hull:
                     if rank_rows(ridge_dirs + [d]) > rank0:
                         away = tight[j]
                         break
-                assert away is not None
+                if away is None:
+                    raise CheckFailed("no tight point off the ridge span")
                 nu = self._sweep(u, r0, ridge_dirs, away_from=away)
                 if nu not in facets:
                     nc = _dot(nu, r0)
@@ -184,7 +187,8 @@ def _chart(points, dim):
         rowi += 1
         if len(piv_cols) == dim:
             break
-    assert len(piv_cols) == dim
+    if len(piv_cols) != dim:
+        raise CheckFailed(f"chart has rank {len(piv_cols)}, not {dim}")
     return [tuple(p[c] for c in piv_cols) for p in points]
 
 
@@ -242,7 +246,8 @@ class LatticePolytope:
                 for p in self.points:
                     rhs = [a - b for a, b in zip(p, self.base)]
                     sol = solve_rational(rows, rhs)
-                    assert sol is not None
+                    if sol is None:
+                        raise CheckFailed(f"point {p} is off the affine hull")
                     # integral coordinates as ints keep the hull arithmetic
                     # off Fractions
                     out.append(
@@ -269,10 +274,6 @@ class LatticePolytope:
     def vertices(self):
         """Ambient vertices, sorted."""
         return sorted(self.points[i] for i in self.hull.vertices)
-
-    @property
-    def facets_reduced(self):
-        return [(u, c) for u, c, _ in self.hull.facets]
 
     @property
     def facets(self):
@@ -322,9 +323,6 @@ class LatticePolytope:
         if self.dim == 0:
             return True
         return all(_dot(u, t) > c for u, c, _ in self.hull.facets)
-
-    def is_vertex(self, point):
-        return tuple(point) in set(map(tuple, self.vertices))
 
     # -- faces -----------------------------------------------------------
 
@@ -472,7 +470,8 @@ class LatticePolytope:
         for u, c, tight in self.hull.facets:
             sub = [self.points[i] for i in tight]
             ends = LatticePolytope(sub).vertices
-            assert len(ends) == 2
+            if len(ends) != 2:
+                raise CheckFailed(f"facet with {len(ends)} ends")
             total += lattice_length(ends[0], ends[1])
         return total
 

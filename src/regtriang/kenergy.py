@@ -53,6 +53,7 @@ class PLFunction:
         self._faithful = None
         self._order = None
         self._dilated = {}
+        self._affine_cells = set()  # cells already checked affine
 
     @classmethod
     def from_heights(cls, config, heights):
@@ -111,9 +112,7 @@ class PLFunction:
                 self._faithful = True
             else:
                 t = self.refinement
-                self._faithful = all(
-                    _linear_on_cell(self, t, cell) for cell in t.cells
-                )
+                self._faithful = all(_affine_on(self, t, cell) for cell in t.cells)
         return self._faithful
 
     def dilation_order(self):
@@ -126,15 +125,18 @@ class PLFunction:
         if self.is_faithful:
             return 1
         bound = _dilation_bound(self)
-        for k in range(2, bound + 1):
+        # k = 1 is worth a probe when Q has lattice points the
+        # configuration lacks: the function may break along those
+        lattice = len(self.config.polytope.lattice_points())
+        for k in range(1 if len(self.config) < lattice else 2, bound + 1):
             if self.dilate(k).is_faithful:
                 return k
         raise CheckFailed(f"no dilation up to the bound {bound} clears denominators")
 
     def _at_order(self):
-        """(g, k): the function on kQ for its dilation order k; g is f at k = 1."""
+        """(g, k): the function on kQ for its dilation order k (g is f if faithful)."""
         k = self.dilation_order()
-        return (self if k == 1 else self.dilate(k)), k
+        return (self if self.is_faithful else self.dilate(k)), k
 
     def dilate(self, k):
         """The function x -> k f(x/k) on the lattice points of kQ, built once per k."""
@@ -236,13 +238,22 @@ def induced_triangulation(f):
     return t, k
 
 
+def _affine_on(f, triangulation, cell):
+    """Whether f is affine on the cell, checked once per function and cell."""
+    if cell not in f._affine_cells:
+        if not _linear_on_cell(f, triangulation, cell):
+            return False
+        f._affine_cells.add(cell)
+    return True
+
+
 def _check_cells(f, triangulation, error):
     if triangulation.config is not f.config and (
         triangulation.config.points != f.config.points
     ):
         raise error("triangulation lives on a different configuration")
     for cell in triangulation.cells:
-        if not _linear_on_cell(f, triangulation, cell):
+        if not _affine_on(f, triangulation, cell):
             raise error(f"function is not affine on cell {cell}")
 
 

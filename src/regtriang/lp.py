@@ -148,7 +148,8 @@ def eq_phase1(cols, b):
     for i in range(m):
         tab.price_out(i + 1, n + i)
     status = tab.bland()
-    assert status == "optimal"  # phase 1 objective is bounded above by 0
+    if status != "optimal":  # phase 1 objective is bounded above by 0
+        raise CheckFailed(f"phase 1 ended {status}")
     value = tab.objective_value()
     if value == 0:
         return True, tab.solution(n), None

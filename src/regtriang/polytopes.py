@@ -1,16 +1,14 @@
 """Convex hulls of the weight vectors of all regular triangulations.
 
-Three hulls are assembled from enumerations: the secondary polytope
-(top-dimensional GKZ vectors), the hull of the Hurwitz vectors, and the
-hull of the folded prism vectors. Each keeps one representative
+Three hulls are folded from enumerations by sweep, as many at once as
+one question needs: the secondary polytope (top-dimensional GKZ
+vectors), the hull of the Hurwitz vectors, and the hull of the folded
+prism vectors. Each keeps one representative
 triangulation per distinct generating vector, so a vertex can always be
 traced back to a witness.
 """
 
-from os import path as os_path
-
-from .checkpoint import read_checkpoint
-from .enumeration import DEFAULT_BUDGET, enumerate_regular
+from .enumeration import enumerate_regular
 from .errors import NonconstantSum
 from .geometry import LatticePolytope, normally_equivalent
 from .lp import in_hull
@@ -39,10 +37,6 @@ class WeightPolytope:
     def vertices(self):
         return self.polytope.vertices
 
-    def vertex_generators(self):
-        """Representative triangulation encoding for each vertex."""
-        return {v: self.generators[v] for v in self.vertices}
-
     def coordinate_sum(self):
         return sum(next(iter(self.generators)))
 
@@ -50,64 +44,56 @@ class WeightPolytope:
         return self.polytope.contains(vector)
 
 
-def secondary_polytope(config, *, jobs=1):
-    """Hull of the top GKZ vectors; vertices are the regular triangulations."""
-    n = config.polytope.dim
-    found = {}
+def sweep(config, vectors, **enumeration):
+    """One enumeration folded into one weight polytope per requested kind.
+
+    vectors maps a polytope kind to a function from a triangulation to
+    its weight vector. Each accepted triangulation is decoded once and
+    every one of its vectors keeps the first encoding that produced it.
+    The keywords go to enumerate_regular, which also replays the
+    acceptances of a resumed checkpoint. Returns the count of regular
+    triangulations and a dict of WeightPolytopes keyed by kind.
+    BudgetExceeded propagates: a partial hull is not a polytope worth
+    returning.
+    """
+    found = {kind: {} for kind in vectors}
 
     def accept(enc):
         t = Triangulation.decode(config, enc)
-        found.setdefault(eta_k(t, n).values, enc)
+        for kind, vector in vectors.items():
+            found[kind].setdefault(vector(t).values, enc)
 
-    enumerate_regular(config, jobs=jobs, on_accept=accept)
-    return WeightPolytope("chow", found)
+    count = enumerate_regular(config, on_accept=accept, **enumeration).count
+    return count, {kind: WeightPolytope(kind, gens) for kind, gens in found.items()}
+
+
+def _chow_vector(t):
+    return eta_k(t, t.config.polytope.dim)
+
+
+def secondary_polytope(config, *, jobs=1):
+    """Hull of the top GKZ vectors; vertices are the regular triangulations."""
+    return sweep(config, {"chow": _chow_vector}, jobs=jobs)[1]["chow"]
 
 
 def hurwitz_candidate_polytope(config, *, jobs=1):
     """Hull of the Hurwitz vectors of all regular triangulations."""
-    found = {}
-
-    def accept(enc):
-        t = Triangulation.decode(config, enc)
-        found.setdefault(hurwitz_vector(t).values, enc)
-
-    enumerate_regular(config, jobs=jobs, on_accept=accept)
-    return WeightPolytope("hurwitz-candidate", found)
+    kind = "hurwitz-candidate"
+    return sweep(config, {kind: hurwitz_vector}, jobs=jobs)[1][kind]
 
 
-def prism_hurwitz_polytope(
-    config,
-    *,
-    jobs=1,
-    budget=DEFAULT_BUDGET,
-    checkpoint_path=None,
-    resume=False,
-):
-    """Hull of the folded vectors over the whole prism enumeration.
+def base_polytopes(config, *, jobs=1):
+    """(count, secondary polytope, Hurwitz hull) from one base enumeration."""
+    vectors = {"chow": _chow_vector, "hurwitz-candidate": hurwitz_vector}
+    count, hulls = sweep(config, vectors, jobs=jobs)
+    return count, hulls["chow"], hulls["hurwitz-candidate"]
 
-    BudgetExceeded propagates: a partial hull is not a polytope worth
-    returning. A resumed run folds the checkpointed triangulations first,
-    then continues streaming the rest.
-    """
+
+def prism_hurwitz_polytope(config, **enumeration):
+    """Hull of the folded vectors over the whole prism enumeration."""
     prism = prism_configuration(config)
-    found = {}
-
-    def accept(enc):
-        t = Triangulation.decode(prism, enc)
-        found.setdefault(nu_vector(t).values, enc)
-
-    if resume and checkpoint_path and os_path.exists(checkpoint_path):
-        for enc in read_checkpoint(checkpoint_path).accepted:
-            accept(enc)
-    enumerate_regular(
-        prism,
-        jobs=jobs,
-        budget=budget,
-        checkpoint_path=checkpoint_path,
-        resume=resume,
-        on_accept=accept,
-    )
-    return WeightPolytope("prism-hurwitz", found)
+    kind = "prism-hurwitz"
+    return sweep(prism, {kind: nu_vector}, **enumeration)[1][kind]
 
 
 def degree_from_polytope(polytope, k):
@@ -200,54 +186,27 @@ def vertex_edge_correspondence(p1, p2):
     }
 
 
-def check_conjecture(
-    config,
-    *,
-    jobs=1,
-    budget=DEFAULT_BUDGET,
-    checkpoint_path=None,
-    resume=False,
-):
+def check_conjecture(config, *, jobs=1, **enumeration):
     """Instance check: do the folded prism vectors rediscover the Hurwitz hull?
 
+    One enumeration of the base and one of the prism; the enumeration
+    keywords (budget, checkpoint_path, resume) apply to the prism.
     Returns a report with the base and prism enumeration counts, the
     vertex count of the folded hull, whether those vertices are exactly
     the Hurwitz vectors, and whether the Hurwitz hull is normally
     equivalent to the secondary polytope.
     """
-    base_count = enumerate_regular(config, jobs=jobs).count
-    chow = secondary_polytope(config, jobs=jobs)
-    hurwitz = hurwitz_candidate_polytope(config, jobs=jobs)
-    prism_count = [0]
-
+    base_count, chow, hurwitz = base_polytopes(config, jobs=jobs)
     prism = prism_configuration(config)
-    found = {}
-
-    def accept(enc):
-        prism_count[0] += 1
-        t = Triangulation.decode(prism, enc)
-        found.setdefault(nu_vector(t).values, enc)
-
-    if resume and checkpoint_path and os_path.exists(checkpoint_path):
-        state = read_checkpoint(checkpoint_path)
-        for enc in state.accepted:
-            accept(enc)
-        prism_count[0] = len(state.accepted)
-    enumerate_regular(
-        prism,
-        jobs=jobs,
-        budget=budget,
-        checkpoint_path=checkpoint_path,
-        resume=resume,
-        on_accept=accept,
+    prism_count, hulls = sweep(
+        prism, {"prism-hurwitz": nu_vector}, jobs=jobs, **enumeration
     )
-    folded = WeightPolytope("prism-hurwitz", found)
-
+    folded = hulls["prism-hurwitz"]
     nu_vertices = set(folded.vertices)
     xi_vectors = set(hurwitz.generators)
     return {
         "base_count": base_count,
-        "prism_count": prism_count[0],
+        "prism_count": prism_count,
         "nu_vertex_count": len(nu_vertices),
         "vertices_match": nu_vertices == xi_vectors,
         "normal_equivalent": normally_equivalent(
@@ -268,8 +227,7 @@ def standard_semistability(config, *, jobs=1):
     (n+1)/n on one side and can disagree; both booleans are returned.
     """
     n = config.polytope.dim
-    chow = secondary_polytope(config, jobs=jobs)
-    hurwitz = hurwitz_candidate_polytope(config, jobs=jobs)
+    _, chow, hurwitz = base_polytopes(config, jobs=jobs)
     deg_chow = degree_from_polytope(chow, n + 1)
     deg_hurwitz = degree_from_polytope(hurwitz, n)
     chow_pi = [project_pi(v) for v in chow.vertices]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import CheckFailed, DimensionUnsupported
 from .geometry import PointConfiguration
-from .triangulation import Triangulation, _mask, engine, flip
+from .triangulation import Triangulation, _labels, _mask, engine
 from .weights import WeightVector, massive_gkz
 
 
@@ -91,12 +91,6 @@ def nu_vector(prism_triangulation):
     eta = massive_gkz(prism_triangulation)
     vals = tuple(eta.values[i] + eta.values[i + m] for i in range(m))
     return WeightVector(vals, "nu")
-
-
-def h_equivalent(t1, t2):
-    """Same folded weight vector over the same prism configuration."""
-    assert t1.config.digest() == t2.config.digest()
-    return nu_vector(t1).values == nu_vector(t2).values
 
 
 @dataclass(frozen=True)
@@ -194,20 +188,18 @@ def circuit_z1(prism_config, ms):
     """Circuit on {i, j, ip} at the pair's level plus {ip, jp} opposite."""
     up, down = _copies(prism_config, ms.level)
     mask = _mask((up(ms.i), up(ms.j), up(ms.ip), down(ms.ip), down(ms.jp)))
-    circ = engine(prism_config).circuit_of(mask)
-    assert circ is not None
-    return circ
+    return _circuit(prism_config, mask)
 
 
 def circuit_z2(prism_config, ms):
     """Circuit on {i, j} at the pair's level plus {i, ip, jp} opposite."""
     up, down = _copies(prism_config, ms.level)
     mask = _mask((up(ms.i), up(ms.j), down(ms.i), down(ms.ip), down(ms.jp)))
+    return _circuit(prism_config, mask)
+
+
+def _circuit(prism_config, mask):
     circ = engine(prism_config).circuit_of(mask)
-    assert circ is not None
+    if circ is None:
+        raise CheckFailed(f"points {_labels(mask)} hold no circuit")
     return circ
-
-
-def modify_along_circuit(prism_triangulation, circuit):
-    """Exchange the two triangulations of the circuit's hull inside T."""
-    return flip(prism_triangulation, circuit)

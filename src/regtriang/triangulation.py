@@ -121,9 +121,6 @@ class Triangulation:
             m |= c
         return m
 
-    def used_labels(self):
-        return _labels(self.used_mask)
-
     def unused_labels(self):
         full = (1 << len(self.config)) - 1
         return _labels(full & ~self.used_mask)
@@ -256,7 +253,8 @@ class Engine:
         status, x, val = max_eq_lp(obj, cols, b)
         if status == "infeasible":
             return True  # hulls do not even intersect
-        assert status == "optimal"
+        if status != "optimal":
+            raise CheckFailed(f"common-face LP ended {status}")
         return val == 0
 
     # -- regularity ------------------------------------------------------
@@ -283,21 +281,25 @@ class Engine:
         for wall, owners in walls.items():
             if len(owners) == 1:
                 continue
-            assert len(owners) == 2, "wall shared by more than two cells"
+            if len(owners) != 2:
+                raise CheckFailed("wall shared by more than two cells")
             smask = owners[0] | owners[1]
             circ = self.circuit_of(smask)
-            assert circ is not None
+            if circ is None:
+                raise CheckFailed("two cells across a wall hold no circuit")
             coeffs = dict(circ.coeffs)
             apex_bit = owners[0] & ~wall
             apex = _labels(apex_bit)[0]
             ca = coeffs.get(apex, 0)
-            assert ca != 0, "apex off the wall circuit in a valid triangulation"
+            if ca == 0:
+                raise CheckFailed("apex off the wall circuit in a valid triangulation")
             row = [0] * self.m
             sign = 1 if ca > 0 else -1
             for l, c in circ.coeffs:
                 row[l - 1] = sign * c
             other_apex = _labels(owners[1] & ~wall)[0]
-            assert row[other_apex - 1] > 0, "apexes fold to the same side"
+            if row[other_apex - 1] <= 0:
+                raise CheckFailed("apexes fold to the same side")
             rows.append(row)
         unused = self.full_mask & ~used
         for i in _bits(unused):
@@ -314,7 +316,8 @@ class Engine:
                     rows.append(row)
                     placed = True
                     break
-            assert placed, "unused point outside every cell"
+            if not placed:
+                raise CheckFailed("unused point outside every cell")
         return rows
 
     def regular_quick(self, masks):
@@ -369,7 +372,8 @@ def max_eq_lp(c, cols, b):
     for i in range(m):
         tab.price_out(i + 1, n + i)
     status = tab.bland()
-    assert status == "optimal"
+    if status != "optimal":
+        raise CheckFailed(f"phase 1 ended {status}")
     if tab.objective_value() != 0:
         return "infeasible", None, None
     # drive leftover basic artificials out of the basis at level zero, so
@@ -461,7 +465,8 @@ def is_regular(triangulation):
             if cmask & (1 << (label - 1)):
                 continue
             coords = barycentric(eng.points_of(cmask), config.point(label))
-            assert coords is not None  # full-dim cell spans everything
+            if coords is None:  # a full-dimensional cell spans everything
+                raise CheckFailed(f"cell {cell} does not span point {label}")
             den = lcm(*(c.denominator for c in coords))
             row = [0] * (m + 1)
             row[label - 1] = den
@@ -482,7 +487,8 @@ def is_regular(triangulation):
     rhs = [0] * len(rows) + [2] * m
     obj = [0] * m + [1]
     status, x, delta = max_lp(obj, ineq, rhs)
-    assert status == "optimal"
+    if status != "optimal":
+        raise CheckFailed(f"regularity LP ended {status}")
     if delta <= 0:
         return NOT_REGULAR
     return _reconstructed(triangulation, tuple(xi - 1 for xi in x[:m]))
@@ -637,11 +643,3 @@ def flip(triangulation, circuit):
     }
     result = [c for c in masks if c not in old_cells] + sorted(new_cells)
     return Triangulation(triangulation.config, [_labels(c) for c in result])
-
-
-def neighbors(triangulation):
-    """Triangulations one supported flip away."""
-    out = []
-    for circ in supported_flips(triangulation):
-        out.append(flip(triangulation, circ))
-    return out

@@ -57,7 +57,8 @@ def eta_k(triangulation, k):
     """Volume-weighted point incidence over massive k-simplices."""
     cfg = triangulation.config
     n = cfg.dim
-    assert 0 <= k <= n
+    if not 0 <= k <= n:
+        raise ValueError(f"k = {k} is outside 0..{n}")
     eng = engine(cfg)
     vals = [0] * len(cfg)
     if k < n:

@@ -39,12 +39,11 @@ from regtriang.prism import (
     circuit_z2,
     find_cubic_mixed,
     mixed_volumes,
-    modify_along_circuit,
     nu_vector,
     prism_configuration,
     vertical_triangulation,
 )
-from regtriang.triangulation import Triangulation, is_regular
+from regtriang.triangulation import Triangulation, flip, is_regular
 from regtriang.weights import eta_k, hurwitz_vector
 
 from oracles import all_triangulations
@@ -298,8 +297,8 @@ def test_08_cube_mixed_simplex_midpoint_and_shifts():
         nu = nu_vector(t).values
         for ms in found:
             a, b, c, d = mixed_volumes(cube, ms)
-            one = modify_along_circuit(t, circuit_z1(cube, ms))
-            other = modify_along_circuit(t, circuit_z2(cube, ms))
+            one = flip(t, circuit_z1(cube, ms))
+            other = flip(t, circuit_z2(cube, ms))
             one.validate()
             other.validate()
             nu1 = nu_vector(one).values

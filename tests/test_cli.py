@@ -191,6 +191,24 @@ def test_check_normal_equiv(capsys):
     assert report["all_parallel"] is True
 
 
+def test_check_normal_equiv_enumerates_once(capsys, monkeypatch):
+    # [TRIVIAL] both hulls come from one pass over the base.
+    from regtriang import polytopes
+
+    calls = []
+    original = polytopes.enumerate_regular
+
+    def counted(config, **kwargs):
+        calls.append(config)
+        return original(config, **kwargs)
+
+    monkeypatch.setattr(polytopes, "enumerate_regular", counted)
+    code, report = run_json(["check", "normal-equiv", "veronese"], capsys)
+    assert code == 0
+    assert report["vertices"] == [14, 14]
+    assert [c.name for c in calls] == ["veronese"]
+
+
 def test_check_k_semistable(capsys):
     # [DERIVED] report carries both degrees and both inclusion flags.
     code, report = run_json(["check", "k-semistable", "square"], capsys)
@@ -238,6 +256,18 @@ def test_kenergy_affine_and_methods(tmp_path, capsys):
     assert code == 0
     assert single["k_energy"] == "1/2"
     assert "pairing" not in single
+
+
+def test_kenergy_on_configuration_missing_lattice_points(tmp_path, capsys):
+    # [DERIVED] triangle4 lacks (1, 0) and (0, 1), where max(0, x + y - 1)
+    # breaks; the lattice points of Q clear it at order 1, L = 1/2.
+    path = tmp_path / "fn.json"
+    path.write_text(json.dumps({"affine": [[0, 0, 0], [1, 1, -1]]}))
+    code, report = run_json(["kenergy", "triangle4", "--function", str(path)], capsys)
+    assert code == 0
+    assert report["dilation_order"] == 1
+    assert report["match"] is True
+    assert report["k_energy"] == "1/2"
 
 
 def test_kenergy_fractional_constant_dilates_by_four(tmp_path, capsys):
@@ -348,6 +378,11 @@ def test_checkpoint_digest_mismatch_exits_4(tmp_path, capsys):
     )
     assert code == 4
     assert report["error"]["type"] == "DigestMismatch"
+    # the hull commands check the digest before folding any record
+    for command in (["polytope", "prism-hurwitz"], ["check", "conjecture"]):
+        code, report = run_json([*command, "triangle", "--checkpoint", ck], capsys)
+        assert code == 4
+        assert report["error"]["type"] == "DigestMismatch"
 
 
 def test_checkpoint_corrupt_exits_4(tmp_path, capsys):

@@ -3,6 +3,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import regtriang
 
@@ -10,7 +12,15 @@ from regtriang.checkpoint import read_checkpoint
 from regtriang.enumeration import enumerate_regular
 from regtriang.errors import BudgetExceeded, CheckpointCorrupt, DigestMismatch
 from regtriang.geometry import PointConfiguration
-from regtriang.triangulation import Triangulation, engine, is_regular
+from regtriang.triangulation import (
+    Triangulation,
+    engine,
+    flip,
+    is_regular,
+    supported_flips,
+)
+
+from oracles import all_triangulations
 
 SQUARE = PointConfiguration([(0, 0), (1, 0), (1, 1), (0, 1)])
 
@@ -48,13 +58,13 @@ def test_nested_count_matches_unrestricted_exploration():
     # walk the full flip graph (regular or not) and count the regular ones
     seen = {}
     eng = engine(NESTED)
-    from regtriang.triangulation import neighbors, placing_triangulation
+    from regtriang.triangulation import placing_triangulation
 
     stack = [placing_triangulation(NESTED)]
     seen[stack[0].encode()] = True
     while stack:
         t = stack.pop()
-        for nb in neighbors(t):
+        for nb in [flip(t, c) for c in supported_flips(t)]:
             enc = nb.encode()
             if enc not in seen:
                 seen[enc] = bool(eng.regular_quick(nb.masks)[0])
@@ -101,6 +111,23 @@ def test_budget_stops_and_resume_completes(tmp_path):
     assert set(again.encodings) == set(fresh.encodings)
 
 
+def test_resume_replays_every_acceptance_once(tmp_path):
+    # the on_accept stream of a resumed run is the collected list, holds
+    # every regular triangulation once and matches the uninterrupted run
+    fresh = enumerate_regular(HEXAGON, collect=True)
+    path = str(tmp_path / "hex.ckpt")
+    with pytest.raises(BudgetExceeded):
+        enumerate_regular(HEXAGON, budget=10, checkpoint_path=path)
+    for _ in range(2):  # stopped by the budget, then finished
+        streamed = []
+        res = enumerate_regular(
+            HEXAGON, checkpoint_path=path, resume=True,
+            on_accept=streamed.append, collect=True,
+        )
+        assert streamed == res.encodings == fresh.encodings
+        assert len(set(streamed)) == res.count == 32
+
+
 def test_resume_after_truncation(tmp_path):
     path = str(tmp_path / "hex.ckpt")
     enumerate_regular(HEXAGON, checkpoint_path=path)
@@ -112,11 +139,16 @@ def test_resume_after_truncation(tmp_path):
     state = read_checkpoint(path)
     assert not state.done
 
-    res = enumerate_regular(HEXAGON, checkpoint_path=path, resume=True, collect=True)
+    streamed = []
+    res = enumerate_regular(
+        HEXAGON, checkpoint_path=path, resume=True,
+        on_accept=streamed.append, collect=True,
+    )
     assert res.complete
     assert res.count == 32
     fresh = enumerate_regular(HEXAGON, collect=True)
     assert set(res.encodings) == set(fresh.encodings)
+    assert streamed == res.encodings
 
 
 def test_resume_rejects_other_configuration(tmp_path):
@@ -167,3 +199,40 @@ def test_cube_enumeration_under_optimize():
         capture_output=True, text=True, env=env, check=True,
     )
     assert out.stdout.split() == ["74", "checked"]
+
+
+@st.composite
+def _planar(draw):
+    """4-6 distinct points of [0, 3]^2 spanning the plane."""
+    points = draw(
+        st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 3)),
+            min_size=4, max_size=6, unique=True,
+        )
+    )
+    (x0, y0), rest = points[0], points[1:]
+    assume(any((x - x0) * (y1 - y0) != (y - y0) * (x1 - x0)
+               for (x, y) in rest for (x1, y1) in rest))
+    return PointConfiguration(points)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_planar())
+def test_count_matches_the_brute_force_oracle(config):
+    regular = 0
+    for cells in all_triangulations(config):
+        if is_regular(Triangulation(config, [tuple(c) for c in cells])):
+            regular += 1
+    assert enumerate_regular(config).count == regular
+
+
+@settings(max_examples=50, deadline=None)
+@given(_planar())
+def test_flips_undo_and_quick_regularity_agrees(config):
+    eng = engine(config)
+    for enc in enumerate_regular(config, collect=True).encodings:
+        t = Triangulation.decode(config, enc)
+        for circ in supported_flips(t):
+            nb = flip(t, circ)
+            assert flip(nb, circ).encode() == enc
+            assert eng.regular_quick(nb.masks)[0] == bool(is_regular(nb))

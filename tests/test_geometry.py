@@ -130,8 +130,8 @@ def test_contains():
     assert p.contains((0, Fraction(1, 2)))
     assert not p.strictly_contains((0, Fraction(1, 2)))
     assert not p.contains((2, 0))
-    assert p.is_vertex((1, 1))
-    assert not p.is_vertex((0, Fraction(1, 2)))
+    assert (1, 1) in p.vertices
+    assert (0, Fraction(1, 2)) not in p.vertices
 
 
 def test_contains_off_affine_hull():

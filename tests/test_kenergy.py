@@ -172,6 +172,35 @@ def test_fractional_constant_needs_its_denominator_cleared():
     assert k_energy_integral(f) == k_energy_pairing(f)
 
 
+def test_configuration_missing_lattice_points_probes_order_one():
+    # triangle4 holds only the corners of 2x the unit triangle;
+    # max(0, x + y - 1) breaks through its edge midpoints (1, 0), (0, 1)
+    forms = [(0, 0, 0), (1, 1, -1)]
+    f = PLFunction.from_affine(fixture("triangle4"), forms)
+    assert not f.is_faithful
+    assert f.dilation_order() == 1
+    full = PLFunction.from_affine(
+        PointConfiguration(f.config.polytope.lattice_points()), forms
+    )
+    assert full.is_faithful
+    assert k_energy_integral(f) == k_energy_pairing(f) == Fraction(1, 2)
+    assert k_energy_integral(full) == k_energy_pairing(full) == Fraction(1, 2)
+
+
+def test_each_cell_is_checked_affine_once(monkeypatch):
+    calls = []
+    real = kenergy._linear_on_cell
+
+    def counting(f, triangulation, cell):
+        calls.append(cell)
+        return real(f, triangulation, cell)
+
+    monkeypatch.setattr(kenergy, "_linear_on_cell", counting)
+    f = PLFunction.from_heights(HEXAGON, [-1, 0, 1, 2, 1, 0, 1])
+    assert k_energy_integral(f) == k_energy_pairing(f)
+    assert sorted(calls) == sorted(f.refinement.cells)
+
+
 def test_failed_dilation_bound_is_a_library_error(monkeypatch):
     monkeypatch.setattr(kenergy, "_dilation_bound", lambda f: 1)
     f = PLFunction.from_affine(SQUARE, [(0, 0, 0), (2, 0, -1)])

@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from regtriang import checkpoint, enumeration, polytopes
 from regtriang.enumeration import BudgetExceeded
 from regtriang.errors import NonconstantSum
+from regtriang.fixtures import fixture
 from regtriang.geometry import LatticePolytope, PointConfiguration
 from regtriang.polytopes import (
     WeightPolytope,
@@ -17,10 +19,12 @@ from regtriang.polytopes import (
     relative_interior_contains,
     secondary_polytope,
     standard_semistability,
+    sweep,
     vertex_edge_correspondence,
 )
 from regtriang.prism import prism_configuration
 from regtriang.triangulation import Triangulation
+from regtriang.weights import eta_k, hurwitz_vector
 
 SQUARE = PointConfiguration([(0, 0), (1, 0), (1, 1), (0, 1)])
 
@@ -64,7 +68,7 @@ def test_square_secondary_polytope_is_a_segment():
     assert chow.kind == "chow"
     # [DERIVED] GKZ vectors of the two triangulations of the square
     assert set(chow.vertices) == {(2, 1, 2, 1), (1, 2, 1, 2)}
-    assert set(chow.vertex_generators().values()) == {
+    assert {chow.generators[v] for v in chow.vertices} == {
         "1,2,3;1,3,4",
         "1,2,4;2,3,4",
     }
@@ -251,3 +255,67 @@ def test_standard_semistability_hexagon():
     assert report["hurwitz_degree"] == 12
     assert not report["semistable"]
     assert report["semistable_sum_matched"]
+
+
+def _count_calls(monkeypatch, name, *modules):
+    """Record the first argument of every call to the named function."""
+    calls = []
+    original = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_sweep_folds_one_enumeration_into_every_hull(monkeypatch):
+    calls = _count_calls(monkeypatch, "enumerate_regular", polytopes)
+    count, hulls = sweep(
+        VERONESE, {"chow": lambda t: eta_k(t, 2), "hurwitz-candidate": hurwitz_vector}
+    )
+    assert len(calls) == 1
+    assert count == 14
+    assert set(hulls["hurwitz-candidate"].vertices) == VERONESE_HURWITZ
+    assert hulls["chow"].generators == secondary_polytope(VERONESE).generators
+
+
+def test_check_conjecture_enumerates_base_and_prism_once(tmp_path, monkeypatch):
+    ck = str(tmp_path / "ck.jsonl")
+    with pytest.raises(BudgetExceeded):
+        check_conjecture(SQUARE, budget=10, checkpoint_path=ck)
+    calls = _count_calls(monkeypatch, "enumerate_regular", polytopes)
+    reads = _count_calls(monkeypatch, "read_checkpoint", enumeration, checkpoint)
+    report = check_conjecture(SQUARE, checkpoint_path=ck, resume=True)
+    assert report["prism_count"] == 74
+    assert len(calls) == 2
+    assert calls[0] is SQUARE and calls[1].base is SQUARE
+    assert len(reads) == 1
+
+
+def test_semistability_enumerates_the_base_once(monkeypatch):
+    calls = _count_calls(monkeypatch, "enumerate_regular", polytopes)
+    standard_semistability(SQUARE)
+    assert calls == [SQUARE]
+
+
+def test_resumed_check_and_prism_hull_equal_uninterrupted(tmp_path):
+    config = fixture("3")
+    whole = check_conjecture(config)
+    hull = prism_hurwitz_polytope(config)
+    for name, build in (
+        ("check", lambda **kw: check_conjecture(config, **kw)),
+        ("hull", lambda **kw: prism_hurwitz_polytope(config, **kw)),
+    ):
+        ck = str(tmp_path / f"{name}.jsonl")
+        with pytest.raises(BudgetExceeded):
+            build(budget=30, checkpoint_path=ck)
+        for _ in range(2):  # stopped by the budget, then finished
+            resumed = build(checkpoint_path=ck, resume=True)
+            if name == "check":
+                assert resumed == whole
+            else:
+                assert resumed.generators == hull.generators
+                assert resumed.vertices == hull.vertices

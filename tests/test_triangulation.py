@@ -18,7 +18,6 @@ from regtriang.triangulation import (
     flip,
     height_subdivision,
     is_regular,
-    neighbors,
     placing_triangulation,
     supported_flips,
 )
@@ -177,7 +176,7 @@ def test_flip_exploration_of_nested_triangles():
         quick = eng.regular_quick(t.masks)[0]
         assert box == quick
         seen[t.cells] = box
-        for nb in neighbors(t):
+        for nb in [flip(t, c) for c in supported_flips(t)]:
             if nb.cells not in seen:
                 frontier.append(nb)
     assert len(seen) == 18
