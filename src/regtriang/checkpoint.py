@@ -5,7 +5,8 @@ acceptance order, a "commit" record closing each search level with the
 next frontier inline, and a final "done" record. A resumed run needs all
 v records (the visited set), the last commit (the active frontier) and
 the v records after it (acceptances from the level that was interrupted).
-A trailing partial line from a killed writer is tolerated; corruption
+A trailing partial line from a killed writer is tolerated, and so is a
+file cut inside its header line, which holds nothing yet; corruption
 anywhere else is an error.
 """
 
@@ -16,6 +17,8 @@ from .errors import CheckpointCorrupt
 
 MAGIC = "regtriang-checkpoint"
 VERSION = 1
+# every header begins so, its keys being sorted
+_HEADER_START = '{"config": '
 
 
 class CheckpointWriter:
@@ -78,12 +81,14 @@ def read_checkpoint(path):
     state = CheckpointState()
     with open(path) as fh:
         data = fh.read()
+    if "\n" not in data and (
+        _HEADER_START.startswith(data) or data.startswith(_HEADER_START)
+    ):
+        return state  # cut inside the header: no configuration, no frontier
     lines = data.split("\n")
     ends_with_newline = data.endswith("\n")
     if ends_with_newline:
         lines.pop()
-    if not lines:
-        raise CheckpointCorrupt(f"{path}: empty checkpoint")
     records = []
     offset = 0
     for i, line in enumerate(lines):

@@ -78,7 +78,6 @@ def enumerate_regular(
     still pending.
     """
     eng = engine(config)
-    seed_enc = placing_triangulation(config).encode()
     visited = set()
     rejected = set()
     count = 0
@@ -87,13 +86,18 @@ def enumerate_regular(
     level = 0
     partial = set()
 
+    state = None
     if checkpoint_path and resume and os_path.exists(checkpoint_path):
         state = read_checkpoint(checkpoint_path)
-        if state.config_digest != config.digest():
+        # no digest: the file was cut inside its header
+        if state.config_digest not in (None, config.digest()):
             raise DigestMismatch(
                 f"checkpoint is for configuration {state.config_digest}, "
                 f"not {config.digest()}"
             )
+        if state.frontier is None:
+            state = None  # killed before its first commit: start afresh
+    if state is not None:
         for enc in state.accepted:
             visited.add(_digest(enc))
             if collect:
@@ -104,11 +108,7 @@ def enumerate_regular(
         if state.done:
             return EnumerationResult(count, True, encodings)
         partial = {_digest(enc) for enc in state.post_commit}
-        if state.frontier is None:
-            frontier = [seed_enc]
-            partial.discard(_digest(seed_enc))
-        else:
-            frontier = list(state.frontier)
+        frontier = list(state.frontier)
         level = state.level
         writer = CheckpointWriter(
             checkpoint_path, append=True, valid_bytes=state.valid_bytes
@@ -120,6 +120,7 @@ def enumerate_regular(
                 config_digest=config.digest(),
                 params={"budget": budget, "jobs": jobs},
             )
+        seed_enc = placing_triangulation(config).encode()
         if not eng.regular_quick(Triangulation.decode(config, seed_enc).masks)[0]:
             raise CheckFailed(f"placing triangulation {seed_enc} not certified regular")
         visited.add(_digest(seed_enc))

@@ -18,12 +18,12 @@ from math import gcd
 from .errors import CheckFailed, LinearityViolation, NonConvex, TriangulationMismatch
 from .geometry import LatticePolytope, PointConfiguration
 from .linalg import lattice_length, scale_to_integers
+from .lp import max_eq_lp
 from .polytopes import hurwitz_degree_formula
 from .triangulation import (
     Triangulation,
     engine,
     height_subdivision,
-    max_eq_lp,
     placing_triangulation,
 )
 from .weights import eta_k, hurwitz_vector

@@ -2,7 +2,11 @@
 
 The tableau keeps integer entries with a shared positive denominator and
 pivots fraction-free, so every intermediate value is a minor of the input
-data. Bland's rule makes both phases terminate despite degeneracy.
+data. Bland's rule makes both phases terminate despite degeneracy. One
+phase-1 routine serves every equality-form solve. Certificates are read
+off the final tableau as integer numerators over its denominator and are
+checked in integers; `Fraction`s appear only at the API edge, in the
+values returned.
 """
 
 from fractions import Fraction
@@ -25,13 +29,6 @@ class _Tableau:
         self.den = 1
         self.basis = list(basis)
         self.ncols = len(self.t[0])
-
-    def price_out(self, row, col):
-        """Clear the objective entry of an initially basic column."""
-        coef = self.t[0][col]
-        if coef:
-            tr = self.t[row]
-            self.t[0] = [a - coef * b for a, b in zip(self.t[0], tr)]
 
     def pivot(self, row, col):
         t = self.t
@@ -83,15 +80,16 @@ class _Tableau:
     def objective_value(self):
         return Fraction(-self.t[0][-1], self.den)
 
-    def solution(self, nvars):
-        x = [Fraction(0)] * nvars
+    def numerators(self, nvars):
+        """The basic solution's first nvars entries, times self.den."""
+        x = [0] * nvars
         for i, var in enumerate(self.basis):
             if var < nvars:
-                x[var] = Fraction(self.t[i + 1][-1], self.den)
+                x[var] = self.t[i + 1][-1]
         return x
 
-    def reduced_cost(self, col):
-        return Fraction(self.t[0][col], self.den)
+    def solution(self, nvars):
+        return [Fraction(v, self.den) for v in self.numerators(nvars)]
 
 
 def max_lp(c, rows, rhs):
@@ -117,47 +115,123 @@ def max_lp(c, rows, rhs):
     return "optimal", tab.solution(n), tab.objective_value()
 
 
-def eq_phase1(cols, b):
-    """Feasibility of {sum_j x_j * cols[j] = b, x >= 0} with integer data.
+def _equality_rows(cols, b):
+    """Rows of {sum_j x_j cols[j] = b} in integers with b >= 0.
+
+    Each row is scaled to integers and negated when its right-hand side
+    is negative. Returns (rows, rhs, mult), row i being mult[i] times the
+    original one.
+    """
+    n = len(cols)
+    rows, rhs, mult = [], [], []
+    for i, bi in enumerate(b):
+        scaled, s = scale_to_integers([col[i] for col in cols] + [bi])
+        if scaled[n] < 0:
+            scaled = [-v for v in scaled]
+            s = -s
+        rows.append(list(scaled[:n]))
+        rhs.append(scaled[n])
+        mult.append(s)
+    return rows, rhs, mult
+
+
+def _phase1(rows, rhs, n):
+    """Phase 1 on {rows.x = rhs, x >= 0}: n integer columns, rhs >= 0.
+
+    Artificial column n+i starts basic in row i; the objective, minus the
+    artificials' sum, starts priced out (column sums, value -sum(rhs)).
+    Returns the optimal tableau; the system is feasible iff t[0][-1] == 0.
+    """
+    m = len(rows)
+    ext = []
+    for i, r in enumerate(rows):
+        art = [0] * m
+        art[i] = 1
+        ext.append(list(r) + art)
+    obj = [sum(col) for col in zip(*rows)] + [0] * m
+    tab = _Tableau(obj, ext, rhs, [n + i for i in range(m)])
+    tab.t[0][-1] = sum(rhs)
+    status = tab.bland()
+    if status != "optimal":  # phase 1 objective is bounded above by 0
+        raise CheckFailed(f"phase 1 ended {status}")
+    return tab
+
+
+def eq_phase1(cols, b, *, tableau=False):
+    """Feasibility of {sum_j x_j * cols[j] = b, x >= 0}.
 
     Returns (feasible, x, y): when feasible, x is one solution (list of
     Fractions per column); when infeasible, y is a Farkas certificate with
     y.col_j >= 0 for every column and y.b < 0.
+
+    With tableau=True the data must be integers with b >= 0; they are
+    used as given and the optimal phase-1 tableau is returned instead, for
+    a caller that reads its certificate in integers (see _phase1).
+    """
+    n = len(cols)
+    if tableau:
+        return _phase1([[col[i] for col in cols] for i in range(len(b))], list(b), n)
+    rows, rhs, mult = _equality_rows(cols, b)
+    tab = _phase1(rows, rhs, n)
+    if tab.t[0][-1] == 0:
+        return True, tab.solution(n), None
+    # the artificial reduced costs give y' with y'.row_j >= 0 and y'.rhs < 0
+    # on the scaled rows; y = mult * y' carries that back to the input rows
+    den = tab.den
+    t0 = tab.t[0]
+    y = [Fraction(-s * (den + t0[n + i]), den) for i, s in enumerate(mult)]
+    return False, None, y
+
+
+def max_eq_lp(c, cols, b):
+    """Maximize c.x over {sum x_j cols[j] = b, x >= 0}, exact.
+
+    Phase 1 on artificials, then phase 2 on the real objective with
+    artificial columns barred from entering.
     """
     m = len(b)
     n = len(cols)
-    rows = [[cols[j][i] for j in range(n)] for i in range(m)]
-    rhs = list(b)
-    for i in range(m):
-        scaled, _ = scale_to_integers(rows[i] + [rhs[i]])
-        rows[i] = list(scaled[:n])
-        rhs[i] = scaled[n]
-    flip = [False] * m
-    for i in range(m):
-        if rhs[i] < 0:
-            rows[i] = [-v for v in rows[i]]
-            rhs[i] = -rhs[i]
-            flip[i] = True
-    for i in range(m):
-        art = [0] * m
-        art[i] = 1
-        rows[i] = rows[i] + art
-    # maximize -(sum of artificials)
-    obj = [0] * n + [-1] * m
-    tab = _Tableau(obj, rows, rhs, [n + i for i in range(m)])
-    for i in range(m):
-        tab.price_out(i + 1, n + i)
+    c, c_scale = scale_to_integers([Fraction(x) for x in c])
+    rows, rhs, _ = _equality_rows(cols, b)
+    tab = _phase1(rows, rhs, n)
+    if tab.t[0][-1] != 0:
+        return "infeasible", None, None
+    # drive leftover basic artificials out of the basis at level zero, so
+    # later pivots cannot lift them (that would break the equalities)
+    row = 1
+    while row < len(tab.t):
+        var = tab.basis[row - 1]
+        if var >= n:
+            target = None
+            for j in range(n):
+                if tab.t[row][j] != 0:
+                    target = j
+                    break
+            if target is None:
+                # equality row is redundant by now; drop it
+                tab.t.pop(row)
+                tab.basis.pop(row - 1)
+                continue
+            if tab.t[row][target] < 0:
+                tab.t[row] = [-a for a in tab.t[row]]
+            tab.pivot(row, target)
+        row += 1
+    # phase 2: swap in the real objective, keep artificials out
+    # basic columns are den times unit columns, so pricing out each basic
+    # variable subtracts its cost times its row, all in integers
+    cost = list(c) + [0] * (m + 1)
+    row0 = [tab.den * x for x in cost]
+    for i, var in enumerate(tab.basis):
+        f = cost[var]
+        if f:
+            row0 = [a - f * b for a, b in zip(row0, tab.t[i + 1])]
+    tab.t[0] = row0
+    tab.ncols = n + 1  # bar artificial columns from entering
     status = tab.bland()
-    if status != "optimal":  # phase 1 objective is bounded above by 0
-        raise CheckFailed(f"phase 1 ended {status}")
-    value = tab.objective_value()
-    if value == 0:
-        return True, tab.solution(n), None
-    y = []
-    for i in range(m):
-        yi = Fraction(-1) - tab.reduced_cost(n + i)
-        y.append(-yi if flip[i] else yi)
-    return False, None, y
+    tab.ncols = n + m + 1
+    if status != "optimal":
+        return status, None, None
+    return "optimal", tab.solution(n), tab.objective_value() / c_scale
 
 
 def in_hull(point, generators):
@@ -169,7 +243,6 @@ def in_hull(point, generators):
     """
     if not generators:
         return False, None
-    d = len(point)
     cols = [list(g) + [1] for g in generators]
     feasible, x, y = eq_phase1(cols, list(point) + [1])
     if feasible:
@@ -180,25 +253,38 @@ def in_hull(point, generators):
 def strict_feasible(rows):
     """Decide whether some g satisfies row.g > 0 for every row (g free).
 
-    Uses the dual system {M^T u = 0, sum u = 1, u >= 0}: it is feasible
-    exactly when no strict solution exists. Returns (True, g, margin)
-    with margin > 0 and row.g >= margin verified by evaluation, or
-    (False, u) with the dual certificate.
+    rows are integer lists. Uses the dual system {M^T u = 0, sum u = 1,
+    u >= 0}: it is feasible exactly when no strict solution exists. Both
+    answers are certified in integers off the phase-1 tableau, over its
+    denominator den > 0: the Farkas certificate of an infeasible dual is
+    g_i = -(den + t0[k+i]) with margin den + t0[k+m] (k rows, m columns),
+    and row.g >= margin > 0 is checked on every row; a feasible dual's u
+    is checked for u >= 0, sum u = 1 and M^T u = 0. Returns (True, g,
+    margin) or (False, u, None) in Fractions.
     """
     if not rows:
         raise ValueError("no rows")
+    k = len(rows)
     m = len(rows[0])
-    cols = [list(r) + [1] for r in rows]
-    b = [0] * m + [1]
-    feasible, u, y = eq_phase1(cols, b)
-    if feasible:
-        return False, u, None
-    g = tuple(y[:m])
-    margin = -y[m]
+    tab = eq_phase1([list(r) + [1] for r in rows], [0] * m + [1], tableau=True)
+    den = tab.den
+    t0 = tab.t[0]
+    if den <= 0:
+        raise CheckFailed(f"tableau denominator {den} is not positive")
+    if t0[-1] == 0:
+        u = tab.numerators(k)
+        if any(v < 0 for v in u) or sum(u) != den:
+            raise CheckFailed(f"dual certificate {u} / {den} is not a convex combination")
+        for i in range(m):
+            if sum(v * r[i] for v, r in zip(u, rows) if v):
+                raise CheckFailed(f"dual certificate {u} / {den} misses column {i}")
+        return False, [Fraction(v, den) for v in u], None
+    g = [-(den + t0[k + i]) for i in range(m)]
+    margin = den + t0[k + m]
     if margin <= 0:
-        raise CheckFailed(f"Farkas certificate has margin {margin}")
+        raise CheckFailed(f"Farkas certificate has margin {margin}/{den}")
     for r in rows:
-        val = sum(a * gi for a, gi in zip(r, g))
+        val = sum(a * x for a, x in zip(r, g) if a)
         if val < margin:
-            raise CheckFailed(f"certificate gives {val} < margin {margin} on row {r}")
-    return True, g, margin
+            raise CheckFailed(f"certificate gives {val} < margin {margin} (over {den}) on row {r}")
+    return True, tuple(Fraction(x, den) for x in g), Fraction(margin, den)

@@ -9,6 +9,7 @@ same small sets constantly.
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .errors import (
@@ -23,9 +24,10 @@ from .linalg import (
     affine_dependence,
     barycentric,
     normalized_simplex_volume,
+    rank_int,
     scale_to_integers,
 )
-from .lp import _Tableau, max_lp, strict_feasible
+from .lp import max_eq_lp, max_lp, strict_feasible
 
 
 class NotRegular:
@@ -159,7 +161,18 @@ class Triangulation:
 
 
 class Engine:
-    """Per-configuration caches and the flip/regularity machinery."""
+    """Per-configuration caches and the flip/regularity machinery.
+
+    Regularity is decided on an affine frame: d+1 affinely independent
+    labels, picked once, on the first fold. Every fold row is an affine
+    dependence (its entries sum to 0 and sum r_i p_i = 0), so it vanishes
+    on every affine function, and subtracting from heights g the affine
+    function that agrees with g on the frame leaves each row value r.g
+    unchanged. Strictly convex heights therefore exist iff some exist that
+    are 0 on the frame: the fold drops the frame's columns, the dual LP
+    loses d+1 of its m+1 equality rows, and the heights returned are 0
+    there.
+    """
 
     def __init__(self, config):
         # no reference back to config, so dropping it frees the engine too
@@ -259,14 +272,33 @@ class Engine:
 
     # -- regularity ------------------------------------------------------
 
+    @cached_property
+    def frame(self):
+        """Labels of the affine frame: the first affinely independent ones."""
+        frame = []
+        lifted = []
+        for i, p in enumerate(self.pts):
+            if rank_int(lifted + [list(p) + [1]]) > len(lifted):
+                lifted.append(list(p) + [1])
+                frame.append(i + 1)
+                if len(frame) == self.n + 1:
+                    break
+        return tuple(frame)
+
+    @cached_property
+    def _free_columns(self):
+        fixed = {l - 1 for l in self.frame}
+        return tuple(i for i in range(self.m) if i not in fixed)
+
     def fold_rows(self, masks):
         """Integer rows r with r.g > 0 for all rows iff heights g induce T.
 
         One row per interior wall (local convexity of the fold) and one
-        per unused point (lift strictly above its containing cell).
-        Returns None when the triangulation is not flippable-consistent
-        (a wall with an apex whose dependence coefficient vanishes cannot
-        occur in a valid triangulation).
+        per unused point (lift strictly above its containing cell). Each
+        row is an affine dependence of the points, given without the
+        frame's columns. Raises CheckFailed when the cells do not fold
+        like a triangulation (a wall in more than two cells, or an apex
+        whose dependence coefficient vanishes).
         """
         rows = []
         used = 0
@@ -288,8 +320,8 @@ class Engine:
             if circ is None:
                 raise CheckFailed("two cells across a wall hold no circuit")
             coeffs = dict(circ.coeffs)
-            apex_bit = owners[0] & ~wall
-            apex = _labels(apex_bit)[0]
+            # each owner is the wall plus one apex bit; its label is the bit length
+            apex = (owners[0] & ~wall).bit_length()
             ca = coeffs.get(apex, 0)
             if ca == 0:
                 raise CheckFailed("apex off the wall circuit in a valid triangulation")
@@ -297,7 +329,7 @@ class Engine:
             sign = 1 if ca > 0 else -1
             for l, c in circ.coeffs:
                 row[l - 1] = sign * c
-            other_apex = _labels(owners[1] & ~wall)[0]
+            other_apex = (owners[1] & ~wall).bit_length()
             if row[other_apex - 1] <= 0:
                 raise CheckFailed("apexes fold to the same side")
             rows.append(row)
@@ -318,17 +350,24 @@ class Engine:
                     break
             if not placed:
                 raise CheckFailed("unused point outside every cell")
-        return rows
+        free = self._free_columns
+        return [[row[i] for i in free] for row in rows]
 
     def regular_quick(self, masks):
-        """Fast regularity decision via strict wall-fold feasibility."""
+        """Fast regularity decision via strict wall-fold feasibility.
+
+        Returns (True, heights) with heights 0 on the frame, or
+        (False, None).
+        """
+        heights = [Fraction(0)] * self.m
         rows = self.fold_rows(masks)
-        if not rows:
-            return True, tuple(Fraction(0) for _ in range(self.m))
-        ok, g, _ = strict_feasible(rows)
-        if ok:
-            return True, tuple(g)
-        return False, None
+        if rows:
+            ok, g, _ = strict_feasible(rows)
+            if not ok:
+                return False, None
+            for i, x in zip(self._free_columns, g):
+                heights[i] = x
+        return True, tuple(heights)
 
 
 # Live engines, for instrumentation only. The values are weak: an engine
@@ -343,75 +382,6 @@ def engine(config):
         eng = config._engine = Engine(config)
         _ENGINES[id(eng)] = eng
     return eng
-
-
-def max_eq_lp(c, cols, b):
-    """Maximize c.x over {sum x_j cols[j] = b, x >= 0}, exact.
-
-    Phase 1 on artificials, then phase 2 on the real objective with
-    artificial columns barred from entering.
-    """
-    m = len(b)
-    n = len(cols)
-    c, c_scale = scale_to_integers([Fraction(x) for x in c])
-    rows = [[cols[j][i] for j in range(n)] for i in range(m)]
-    rhs = list(b)
-    for i in range(m):
-        scaled, _ = scale_to_integers(rows[i] + [rhs[i]])
-        rows[i] = list(scaled[:n])
-        rhs[i] = scaled[n]
-        if rhs[i] < 0:
-            rows[i] = [-v for v in rows[i]]
-            rhs[i] = -rhs[i]
-    for i in range(m):
-        art = [0] * m
-        art[i] = 1
-        rows[i] = rows[i] + art
-    obj = [0] * n + [-1] * m
-    tab = _Tableau(obj, rows, rhs, [n + i for i in range(m)])
-    for i in range(m):
-        tab.price_out(i + 1, n + i)
-    status = tab.bland()
-    if status != "optimal":
-        raise CheckFailed(f"phase 1 ended {status}")
-    if tab.objective_value() != 0:
-        return "infeasible", None, None
-    # drive leftover basic artificials out of the basis at level zero, so
-    # later pivots cannot lift them (that would break the equalities)
-    row = 1
-    while row < len(tab.t):
-        var = tab.basis[row - 1]
-        if var >= n:
-            target = None
-            for j in range(n):
-                if tab.t[row][j] != 0:
-                    target = j
-                    break
-            if target is None:
-                # equality row is redundant by now; drop it
-                tab.t.pop(row)
-                tab.basis.pop(row - 1)
-                continue
-            if tab.t[row][target] < 0:
-                tab.t[row] = [-a for a in tab.t[row]]
-            tab.pivot(row, target)
-        row += 1
-    # phase 2: swap in the real objective, keep artificials out
-    # basic columns are den times unit columns, so pricing out each basic
-    # variable subtracts its cost times its row, all in integers
-    cost = list(c) + [0] * (m + 1)
-    row0 = [tab.den * x for x in cost]
-    for i, var in enumerate(tab.basis):
-        f = cost[var]
-        if f:
-            row0 = [a - f * b for a, b in zip(row0, tab.t[i + 1])]
-    tab.t[0] = row0
-    tab.ncols = n + 1  # bar artificial columns from entering
-    status = tab.bland()
-    tab.ncols = n + m + 1
-    if status != "optimal":
-        return status, None, None
-    return "optimal", tab.solution(n), tab.objective_value() / c_scale
 
 
 def lower_hull_subdivision(config_points, heights):

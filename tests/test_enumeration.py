@@ -17,6 +17,7 @@ from regtriang.triangulation import (
     engine,
     flip,
     is_regular,
+    lower_hull_subdivision,
     supported_flips,
 )
 
@@ -151,6 +152,26 @@ def test_resume_after_truncation(tmp_path):
     assert streamed == res.encodings
 
 
+def test_resume_from_a_cut_at_every_byte(tmp_path):
+    # a writer killed at any byte leaves a prefix of the finished file;
+    # each prefix resumes to the same triangulations, each streamed once
+    path = str(tmp_path / "veronese.ckpt")
+    fresh = sorted(enumerate_regular(VERONESE, checkpoint_path=path, collect=True).encodings)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    for cut in range(len(data) + 1):
+        with open(path, "wb") as fh:
+            fh.write(data[:cut])
+        streamed = []
+        res = enumerate_regular(
+            VERONESE, checkpoint_path=path, resume=True,
+            on_accept=streamed.append, collect=True,
+        )
+        assert res.complete, cut
+        assert sorted(res.encodings) == sorted(streamed) == fresh, cut
+        assert read_checkpoint(path).done, cut
+
+
 def test_resume_rejects_other_configuration(tmp_path):
     path = str(tmp_path / "square.ckpt")
     enumerate_regular(SQUARE, checkpoint_path=path)
@@ -235,4 +256,9 @@ def test_flips_undo_and_quick_regularity_agrees(config):
         for circ in supported_flips(t):
             nb = flip(t, circ)
             assert flip(nb, circ).encode() == enc
-            assert eng.regular_quick(nb.masks)[0] == bool(is_regular(nb))
+            ok, heights = eng.regular_quick(nb.masks)
+            assert ok == bool(is_regular(nb))
+            if ok:  # the heights are 0 on the frame and rebuild nb
+                assert all(heights[l - 1] == 0 for l in eng.frame)
+                rebuilt = lower_hull_subdivision(config.points, heights)
+                assert sorted(rebuilt) == sorted(nb.masks)

@@ -2,6 +2,10 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import pytest
+
+from regtriang import lp
+from regtriang.errors import CheckFailed
 from regtriang.lp import eq_phase1, in_hull, max_lp, strict_feasible
 
 
@@ -142,3 +146,43 @@ def test_strict_feasible_matches_brute_force():
         # grid miss does not prove infeasibility, but the certificate does:
         if not ok:
             assert not grid_hit
+
+
+def test_strict_feasible_checks_the_farkas_certificate(monkeypatch):
+    # a tableau whose first height numerator reads -den fails the row check
+    real = lp.eq_phase1
+
+    def skewed(cols, b, tableau=False):
+        tab = real(cols, b, tableau=tableau)
+        tab.t[0][len(cols)] = 0
+        return tab
+
+    monkeypatch.setattr(lp, "eq_phase1", skewed)
+    with pytest.raises(CheckFailed):
+        strict_feasible([[1, 0], [0, 1]])
+
+
+@pytest.mark.parametrize("shift", [(1, 0), (1, -1)])
+def test_strict_feasible_checks_the_dual_certificate(monkeypatch, shift):
+    # u off the simplex, or on it but with M^T u != 0, is refused
+    real = lp._Tableau.numerators
+
+    def skewed(self, nvars):
+        return [v + s for v, s in zip(real(self, nvars), shift)]
+
+    monkeypatch.setattr(lp._Tableau, "numerators", skewed)
+    with pytest.raises(CheckFailed):
+        strict_feasible([[1], [-1]])
+
+
+def test_eq_phase1_certificate_on_fractional_rows():
+    # rows are scaled to integers before the solve; the certificate must
+    # still separate the data as given
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    cols = [[4, 3 * half, -2], [-1, 3 * half, 2], [-1, -quarter, 0]]
+    b = [3 * half, -2, Fraction(-2, 3)]
+    feasible, _, y = eq_phase1(cols, b)
+    assert not feasible
+    for col in cols:
+        assert sum(yi * c for yi, c in zip(y, col)) >= 0
+    assert sum(yi * bi for yi, bi in zip(y, b)) < 0

@@ -4,20 +4,27 @@ from fractions import Fraction
 
 import pytest
 
+from regtriang.enumeration import enumerate_regular
 from regtriang.errors import (
     DegenerateSimplex,
     OverlapNotFace,
     UnsupportedFlip,
     VolumeMismatch,
 )
+from regtriang.fixtures import fixture
 from regtriang.geometry import PointConfiguration
+from regtriang.linalg import rank_int
+from regtriang.lp import strict_feasible
+from regtriang.prism import prism_configuration
 from regtriang.triangulation import (
     NOT_REGULAR,
+    Engine,
     Triangulation,
     engine,
     flip,
     height_subdivision,
     is_regular,
+    lower_hull_subdivision,
     placing_triangulation,
     supported_flips,
 )
@@ -29,6 +36,20 @@ CENTER_SQUARE = PointConfiguration([(0, 0), (2, 0), (2, 2), (0, 2), (1, 1)])
 
 # two nested triangles, the standard source of non-regular triangulations
 NESTED = PointConfiguration([(0, 0), (4, 0), (0, 4), (1, 1), (2, 1), (1, 2)])
+
+
+def full_column_engine(config):
+    """An engine with an empty frame: its fold rows keep every column."""
+    eng = Engine(config)
+    eng.frame = ()
+    return eng
+
+# both twists of the nested-triangle annulus; the mirror symmetry
+# x <-> y maps one to the other
+PINWHEELS = (
+    [(1, 2, 4), (2, 4, 5), (2, 3, 5), (3, 5, 6), (1, 3, 6), (1, 4, 6), (4, 5, 6)],
+    [(1, 2, 5), (1, 4, 5), (2, 3, 6), (2, 5, 6), (1, 3, 4), (3, 4, 6), (4, 5, 6)],
+)
 
 
 def test_encode_decode_canonical():
@@ -146,19 +167,60 @@ def test_height_subdivision_square():
 
 
 def test_pinwheels_are_not_regular():
-    # both twists of the nested-triangle annulus; the mirror symmetry
-    # x <-> y maps one to the other
-    pin = Triangulation(
-        NESTED, [(1, 2, 4), (2, 4, 5), (2, 3, 5), (3, 5, 6), (1, 3, 6), (1, 4, 6), (4, 5, 6)]
-    )
-    mir = Triangulation(
-        NESTED, [(1, 2, 5), (1, 4, 5), (2, 3, 6), (2, 5, 6), (1, 3, 4), (3, 4, 6), (4, 5, 6)]
-    )
     eng = engine(NESTED)
-    for t in (pin, mir):
+    for cells in PINWHEELS:
+        t = Triangulation(NESTED, cells)
         assert t.validate()
         assert is_regular(t) is NOT_REGULAR
         assert eng.regular_quick(t.masks)[0] is False
+
+
+def test_pinwheel_rejections_carry_a_convex_dependence_of_fold_rows():
+    # u >= 0 with sum 1 and u.rows = 0 proves no heights fold strictly;
+    # it holds on the full rows too, since the frame drop loses nothing
+    eng = engine(NESTED)
+    for cells in PINWHEELS:
+        masks = Triangulation(NESTED, cells).masks
+        rows = eng.fold_rows(masks)
+        ok, u, _ = strict_feasible(rows)
+        assert not ok
+        assert all(x >= 0 for x in u) and sum(u) == 1
+        for full in (rows, full_column_engine(NESTED).fold_rows(masks)):
+            for column in zip(*full):
+                assert sum(x * c for x, c in zip(u, column)) == 0
+
+
+@pytest.mark.parametrize(
+    "config, stride",
+    [
+        (fixture("square"), 1),
+        (fixture("4b"), 1),
+        (fixture("hexagon"), 1),
+        (prism_configuration(fixture("square")), 1),
+        # a 4-d hull of 10 points takes about 50 ms: rebuild every 8th
+        (prism_configuration(fixture("4b")), 8),
+    ],
+    ids=["square", "4b", "hexagon", "cube", "4b-prism"],
+)
+def test_fold_rows_are_affine_dependences_and_heights_rebuild(config, stride):
+    eng = engine(config)
+    full = full_column_engine(config)
+    frame = eng.frame
+    assert rank_int([list(config.point(l)) + [1] for l in frame]) == len(frame) == config.dim + 1
+    kept = [l - 1 for l in config.labels() if l not in frame]
+    for n, enc in enumerate(enumerate_regular(config, collect=True).encodings):
+        t = Triangulation.decode(config, enc)
+        rows = full.fold_rows(t.masks)
+        assert [[row[j] for j in kept] for row in rows] == eng.fold_rows(t.masks)
+        for row in rows:
+            assert sum(row) == 0
+            for k in range(config.dim):
+                assert sum(r * p[k] for r, p in zip(row, config.points)) == 0
+        ok, heights = eng.regular_quick(t.masks)
+        assert ok
+        assert all(heights[l - 1] == 0 for l in frame)
+        if n % stride == 0:
+            assert sorted(lower_hull_subdivision(config.points, heights)) == sorted(t.masks)
 
 
 def test_flip_exploration_of_nested_triangles():
