@@ -315,15 +315,6 @@ class LatticePolytope:
             return None
         return tuple(sol)
 
-    def strictly_contains(self, point):
-        """Membership in the relative interior."""
-        t = self._coord_or_none(point)
-        if t is None:
-            return False
-        if self.dim == 0:
-            return True
-        return all(_dot(u, t) > c for u, c, _ in self.hull.facets)
-
     # -- faces -----------------------------------------------------------
 
     def _incidence(self):
@@ -489,10 +480,6 @@ def normally_equivalent(p1, p2):
     return p1.normal_fan() == p2.normal_fan()
 
 
-def convex_hull(points):
-    return LatticePolytope(points)
-
-
 class PointConfiguration:
     """A labeled list of distinct lattice points spanning their space.
 
@@ -570,13 +557,3 @@ class PointConfiguration:
                 out.append(m)
         self._face_masks[k] = out
         return out
-
-    def boundary_mask(self):
-        """Mask of points on the boundary of the hull."""
-        poly = self.polytope
-        full = 0
-        for normal, off in poly.facets:
-            for i, p in enumerate(self.points):
-                if _dot(normal, p) == off:
-                    full |= 1 << i
-        return full

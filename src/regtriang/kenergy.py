@@ -13,11 +13,12 @@ linearity; both routes are exact rationals and must agree.
 
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from itertools import combinations
+from math import factorial, lcm
 
 from .errors import CheckFailed, LinearityViolation, NonConvex, TriangulationMismatch
 from .geometry import LatticePolytope, PointConfiguration
-from .linalg import lattice_length, scale_to_integers
+from .linalg import det_int, lattice_length, scale_to_integers, solve_rational
 from .lp import max_eq_lp
 from .polytopes import hurwitz_degree_formula
 from .triangulation import (
@@ -116,27 +117,30 @@ class PLFunction:
         return self._faithful
 
     def dilation_order(self):
-        """Minimal k so the function on kQ has lattice linearity domains."""
+        """Minimal k so the function on kQ has lattice linearity domains.
+
+        Heights break only at configuration points, so their order is 1;
+        a max of forms has the order its domain vertices give.
+        """
         if self._order is None:
-            self._order = self._least_clearing_order()
+            self._order = 1
+            if self.forms is not None:
+                self._order = _clearing_order(self.config, self.forms)
         return self._order
 
-    def _least_clearing_order(self):
-        if self.is_faithful:
-            return 1
-        bound = _dilation_bound(self)
-        # k = 1 is worth a probe when Q has lattice points the
-        # configuration lacks: the function may break along those
-        lattice = len(self.config.polytope.lattice_points())
-        for k in range(1 if len(self.config) < lattice else 2, bound + 1):
-            if self.dilate(k).is_faithful:
-                return k
-        raise CheckFailed(f"no dilation up to the bound {bound} clears denominators")
-
     def _at_order(self):
-        """(g, k): the function on kQ for its dilation order k (g is f if faithful)."""
+        """(g, k): the function on kQ for its dilation order k.
+
+        g is f itself when k is 1 and f is faithful, and otherwise the
+        dilation by k, which is checked to be faithful.
+        """
         k = self.dilation_order()
-        return (self if self.is_faithful else self.dilate(k)), k
+        if k == 1 and self.is_faithful:
+            return self, 1
+        g = self.dilate(k)
+        if not g.is_faithful:
+            raise CheckFailed(f"the dilation by its order {k} is not faithful")
+        return g, k
 
     def dilate(self, k):
         """The function x -> k f(x/k) on the lattice points of kQ, built once per k."""
@@ -165,34 +169,35 @@ def _affine_at(form, point):
     return sum(a * x for a, x in zip(form, point)) + form[-1]
 
 
-def _dilation_bound(f):
-    """lcm of denominators of all candidate linearity-region vertices.
+def _clearing_order(config, forms):
+    """lcm of the coordinate denominators of the linearity domains' vertices.
 
-    Region vertices are intersections of two break lines or of a break
-    line with a facet line of Q; their coordinates have denominators
-    dividing the corresponding 2x2 determinants.
+    Domain i is {x in Q : form_i(x) >= form_j(x) for all j}, cut out by the
+    facets of Q and the form differences. Its vertices are its points where
+    d independent constraints are tight. A vertex of a lower-dimensional
+    domain is a vertex of a full-dimensional one, so every domain counts.
     """
-    lines = []
-    forms = f.forms or ()
-    for i in range(len(forms)):
-        for j in range(i + 1, len(forms)):
-            # the whole difference, constant included, is made integral:
-            # the constant's denominator moves the line off the lattice
-            diff = scale_to_integers(
-                tuple(a - b for a, b in zip(forms[i], forms[j]))
-            )[0]
-            if any(diff[:-1]):
-                lines.append(diff[:-1])
-    for normal, _ in f.config.polytope.facets:
-        lines.append(tuple(normal))
-    bound = 1
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            a, b = lines[i], lines[j]
-            det = abs(a[0] * b[1] - a[1] * b[0])
-            if det:
-                bound = bound * det // gcd(bound, det)
-    return max(bound, 1)
+    d = config.dim
+    # rows (a, c) of the constraints a.x + c >= 0, made integral below
+    facets = [tuple(normal) + (-off,) for normal, off in config.polytope.facets]
+    order = 1
+    for i, fi in enumerate(forms):
+        cons = list(facets)
+        for j, fj in enumerate(forms):
+            if j != i:
+                cons.append(tuple(a - b for a, b in zip(fi, fj)))
+        cons = [scale_to_integers(row)[0] for row in cons]
+        if any(not any(row[:-1]) and row[-1] < 0 for row in cons):
+            continue  # a form of equal slope lies above form i everywhere
+        cons = [row for row in cons if any(row[:-1])]
+        for tight in combinations(cons, d):
+            normals = [row[:-1] for row in tight]
+            if det_int(normals) == 0:
+                continue
+            x = solve_rational(normals, [-row[-1] for row in tight])
+            if all(_affine_at(row, x) >= 0 for row in cons):
+                order = lcm(order, *(c.denominator for c in x))
+    return order
 
 
 def _refine_heights(config, heights):
@@ -262,14 +267,11 @@ def integral_over_Q(f, triangulation):
     _check_cells(f, triangulation, LinearityViolation)
     eng = engine(f.config)
     n = f.config.polytope.dim
-    factorial = 1
-    for i in range(2, n + 2):
-        factorial *= i
     total = Fraction(0)
     for cell, mask in zip(triangulation.cells, triangulation.masks):
         vertex_sum = sum(f.value_at_label(label) for label in cell)
-        total += Fraction(eng.volume(mask), factorial) * vertex_sum
-    return total
+        total += eng.volume(mask) * vertex_sum
+    return total / factorial(n + 1)
 
 
 def boundary_integral(f, triangulation):
@@ -334,7 +336,4 @@ def k_energy_pairing(f, triangulation=None):
         n * deg_hurwitz * e - (n + 1) * deg_chow * x for e, x in zip(eta, xi)
     ]
     pairing = sum(h * w for h, w in zip(g.heights, weight))
-    factorial = 1
-    for i in range(2, n + 2):
-        factorial *= i
-    return pairing / (factorial * volume) / (k * k)
+    return pairing / (factorial(n + 1) * volume) / (k * k)

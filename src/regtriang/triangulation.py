@@ -123,10 +123,6 @@ class Triangulation:
             m |= c
         return m
 
-    def unused_labels(self):
-        full = (1 << len(self.config)) - 1
-        return _labels(full & ~self.used_mask)
-
     def validate(self):
         """Check the cells triangulate the hull; raise a specific error."""
         eng = engine(self.config)
@@ -152,13 +148,6 @@ class Triangulation:
                     )
         return True
 
-    def is_valid(self):
-        try:
-            self.validate()
-        except (DegenerateSimplex, VolumeMismatch, OverlapNotFace):
-            return False
-        return True
-
 
 class Engine:
     """Per-configuration caches and the flip/regularity machinery.
@@ -182,6 +171,7 @@ class Engine:
         self.full_mask = (1 << self.m) - 1
         self.hull_volume = config.polytope.normalized_volume()
         self._vol = {}
+        self._massive = {}
         self._dep = {}
         self._circuits = {}
         self._bary = {}
@@ -195,6 +185,14 @@ class Engine:
             v = normalized_simplex_volume(self.points_of(mask))
             self._vol[mask] = v
         return v
+
+    def massive(self, mask, face_masks):
+        """Whether the simplex lies in one of the hull faces given by their
+        point masks, which must be the faces of its own dimension."""
+        flag = self._massive.get(mask)
+        if flag is None:
+            flag = self._massive[mask] = any(mask & fm == mask for fm in face_masks)
+        return flag
 
     def barycentric_in(self, cell_mask, label):
         """Barycentric coordinates of a point in a cell, or None."""
@@ -290,6 +288,26 @@ class Engine:
         fixed = {l - 1 for l in self.frame}
         return tuple(i for i in range(self.m) if i not in fixed)
 
+    def walls_and_hosts(self, masks):
+        """(walls, hosts) of the cells: each wall's owner cells, in the order
+        met, and for each unused point (by bit index, ascending) the first
+        cell in mask order that holds it, or None."""
+        walls = {}
+        used = 0
+        for cm in masks:
+            used |= cm
+            mm = cm
+            while mm:
+                low = mm & (-mm)
+                walls.setdefault(cm ^ low, []).append(cm)
+                mm ^= low
+        ordered = sorted(masks)
+        hosts = [
+            (i, next((cm for cm in ordered if self.cell_contains(cm, i + 1)), None))
+            for i in _bits(self.full_mask & ~used)
+        ]
+        return walls, hosts
+
     def fold_rows(self, masks):
         """Integer rows r with r.g > 0 for all rows iff heights g induce T.
 
@@ -301,15 +319,7 @@ class Engine:
         whose dependence coefficient vanishes).
         """
         rows = []
-        used = 0
-        walls = {}
-        for cm in masks:
-            used |= cm
-            mm = cm
-            while mm:
-                low = mm & (-mm)
-                walls.setdefault(cm ^ low, []).append(cm)
-                mm ^= low
+        walls, hosts = self.walls_and_hosts(masks)
         for wall, owners in walls.items():
             if len(owners) == 1:
                 continue
@@ -333,23 +343,16 @@ class Engine:
             if row[other_apex - 1] <= 0:
                 raise CheckFailed("apexes fold to the same side")
             rows.append(row)
-        unused = self.full_mask & ~used
-        for i in _bits(unused):
-            label = i + 1
-            placed = False
-            for cm in sorted(masks):
-                if self.cell_contains(cm, label):
-                    coords = self.barycentric_in(cm, label)
-                    den = lcm(*(c.denominator for c in coords)) if coords else 1
-                    row = [0] * self.m
-                    row[i] = den
-                    for l, c in zip(_labels(cm), coords):
-                        row[l - 1] -= int(c * den)
-                    rows.append(row)
-                    placed = True
-                    break
-            if not placed:
+        for i, cm in hosts:
+            if cm is None:
                 raise CheckFailed("unused point outside every cell")
+            coords = self.barycentric_in(cm, i + 1)
+            den = lcm(*(c.denominator for c in coords)) if coords else 1
+            row = [0] * self.m
+            row[i] = den
+            for l, c in zip(_labels(cm), coords):
+                row[l - 1] -= int(c * den)
+            rows.append(row)
         free = self._free_columns
         return [[row[i] for i in free] for row in rows]
 
@@ -537,28 +540,17 @@ def supported_flips(triangulation):
 
 
 def _candidate_circuits(eng, masks):
-    walls = {}
-    used = 0
-    for cm in masks:
-        used |= cm
-        mm = cm
-        while mm:
-            low = mm & (-mm)
-            walls.setdefault(cm ^ low, []).append(cm)
-            mm ^= low
-    for wall, owners in walls.items():
+    walls, hosts = eng.walls_and_hosts(masks)
+    for owners in walls.values():
         if len(owners) == 2:
             circ = eng.circuit_of(owners[0] | owners[1])
             if circ is not None:
                 yield circ
-    unused = eng.full_mask & ~used
-    for i in _bits(unused):
-        label = i + 1
-        for cm in sorted(masks):
-            if eng.cell_contains(cm, label):
-                circ = eng.circuit_of(cm | (1 << i))
-                if circ is not None:
-                    yield circ
+    for i, cm in hosts:
+        if cm is not None:
+            circ = eng.circuit_of(cm | (1 << i))
+            if circ is not None:
+                yield circ
 
 
 def _present_side(eng, masks, circ):

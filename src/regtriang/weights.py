@@ -5,13 +5,13 @@ each point the total normalized volume of the massive k-simplices of T
 containing it; a k-simplex is massive when it lies inside a k-dimensional
 face of the hull (every maximal simplex qualifies). The alternating sum
 over k gives the massive vector, and d*eta_d - eta_{d-1} the ramification
-weight vector.
+weight vector. All three come from one walk over the faces of T's cells.
 """
 
 from dataclasses import dataclass
 from itertools import combinations
 
-from .triangulation import _bits, _mask, engine
+from .triangulation import engine
 
 
 @dataclass(frozen=True)
@@ -35,58 +35,51 @@ class WeightVector:
         return self.values[label - 1]
 
 
-def is_massive(config, labels):
-    """Whether the simplex on these labels lies in a face of its own
-    dimension; maximal simplices always do."""
-    k = len(labels) - 1
-    if k == config.dim:
-        return True
-    sm = _mask(labels)
-    return any(sm & fm == sm for fm in config.face_point_masks(k))
+def _face_walk(triangulation, weights):
+    """sum_k weights[k] * eta_k, from the distinct faces of T's cells.
 
-
-def _simplices_of_dim(triangulation, k):
-    out = set()
-    for cell in triangulation.cells:
-        for sub in combinations(cell, k + 1):
-            out.add(_mask(sub))
-    return out
+    Only the face dimensions k in `weights` are visited, so k = d alone
+    touches the cells and nothing else. Each face's massive flag is cached
+    on the configuration's engine.
+    """
+    cfg = triangulation.config
+    n = cfg.dim
+    eng = engine(cfg)
+    vals = [0] * len(cfg)
+    for k, weight in weights.items():
+        if k == n:
+            faces = triangulation.masks
+        else:
+            faces = set()
+            for cell in triangulation.cells:
+                faces.update(map(sum, combinations([1 << (l - 1) for l in cell], k + 1)))
+            hull_faces = cfg.face_point_masks(k)
+            faces = [sm for sm in faces if eng.massive(sm, hull_faces)]
+        for sm in faces:
+            x = weight * eng.volume(sm)
+            while sm:
+                low = sm & -sm
+                vals[low.bit_length() - 1] += x
+                sm ^= low
+    return tuple(vals)
 
 
 def eta_k(triangulation, k):
     """Volume-weighted point incidence over massive k-simplices."""
-    cfg = triangulation.config
-    n = cfg.dim
+    n = triangulation.config.dim
     if not 0 <= k <= n:
         raise ValueError(f"k = {k} is outside 0..{n}")
-    eng = engine(cfg)
-    vals = [0] * len(cfg)
-    if k < n:
-        face_masks = cfg.face_point_masks(k)
-    for sm in _simplices_of_dim(triangulation, k):
-        if k < n and not any(sm & fm == sm for fm in face_masks):
-            continue
-        v = eng.volume(sm)
-        for i in _bits(sm):
-            vals[i] += v
-    return WeightVector(tuple(vals), "gkz")
+    return WeightVector(_face_walk(triangulation, {k: 1}), "gkz")
 
 
 def massive_gkz(triangulation):
     """Alternating sum sum_k (-1)^(n-k) eta_k."""
     n = triangulation.config.dim
-    total = [0] * len(triangulation.config)
-    for k in range(n + 1):
-        sign = 1 if (n - k) % 2 == 0 else -1
-        for i, v in enumerate(eta_k(triangulation, k)):
-            total[i] += sign * v
-    return WeightVector(tuple(total), "massive")
+    weights = {k: (-1) ** (n - k) for k in range(n + 1)}
+    return WeightVector(_face_walk(triangulation, weights), "massive")
 
 
 def hurwitz_vector(triangulation):
     """n*eta_n - eta_(n-1), the branching weight of the triangulation."""
     n = triangulation.config.dim
-    top = eta_k(triangulation, n)
-    sub = eta_k(triangulation, n - 1)
-    vals = tuple(n * a - b for a, b in zip(top, sub))
-    return WeightVector(vals, "hurwitz")
+    return WeightVector(_face_walk(triangulation, {n: n, n - 1: -1}), "hurwitz")

@@ -1,4 +1,6 @@
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 import pytest
 
@@ -6,9 +8,9 @@ from regtriang.errors import BadConfig
 from regtriang.geometry import (
     LatticePolytope,
     PointConfiguration,
-    convex_hull,
     normally_equivalent,
 )
+from regtriang.polytopes import relative_interior_contains
 
 SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 HEXAGON = [(0, 0), (0, 1), (1, 1), (1, 0), (0, -1), (-1, -1), (-1, 0)]
@@ -17,7 +19,7 @@ TRI_PRISM = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1)]
 
 
 def test_square_hull():
-    p = convex_hull(SQUARE)
+    p = LatticePolytope(SQUARE)
     assert p.dim == 2
     assert p.vertices == sorted(map(tuple, SQUARE))
     assert len(p.facets) == 4
@@ -28,7 +30,7 @@ def test_square_hull():
 
 def test_interior_point_not_vertex():
     pts = [(0, 0), (2, 0), (0, 2), (1, 0), (0, 1), (1, 1)]
-    p = convex_hull(pts)
+    p = LatticePolytope(pts)
     assert p.vertices == [(0, 0), (0, 2), (2, 0)]
     assert len(p.facets) == 3
     assert p.normalized_volume() == 4
@@ -36,7 +38,7 @@ def test_interior_point_not_vertex():
 
 
 def test_hexagon():
-    p = convex_hull(HEXAGON)
+    p = LatticePolytope(HEXAGON)
     assert len(p.vertices) == 6
     assert (0, 0) not in p.vertices
     assert p.normalized_volume() == 6
@@ -45,7 +47,7 @@ def test_hexagon():
 
 
 def test_cube():
-    p = convex_hull(CUBE)
+    p = LatticePolytope(CUBE)
     assert len(p.vertices) == 8
     assert len(p.facets) == 6
     assert p.normalized_volume() == 6
@@ -57,7 +59,7 @@ def test_cube():
 
 
 def test_triangular_prism_faces():
-    p = convex_hull(TRI_PRISM)
+    p = LatticePolytope(TRI_PRISM)
     assert len(p.vertices) == 6
     assert len(p.facets) == 5
     assert len(p.faces(2)) == 5
@@ -66,7 +68,7 @@ def test_triangular_prism_faces():
 
 
 def test_segment_in_high_dim():
-    p = convex_hull([(2, 1, 2, 1), (1, 2, 1, 2)])
+    p = LatticePolytope([(2, 1, 2, 1), (1, 2, 1, 2)])
     assert p.dim == 1
     assert len(p.vertices) == 2
     fan = p.normal_fan()
@@ -76,16 +78,16 @@ def test_segment_in_high_dim():
 
 
 def test_point_polytope():
-    p = convex_hull([(3, 4)])
+    p = LatticePolytope([(3, 4)])
     assert p.dim == 0
     assert p.vertices == [(3, 4)]
     assert p.contains((3, 4))
     assert not p.contains((3, 5))
-    assert p.strictly_contains((3, 4))
+    assert relative_interior_contains(p, (3, 4))
 
 
 def test_square_normal_fan():
-    p = convex_hull(SQUARE)
+    p = LatticePolytope(SQUARE)
     fan = p.normal_fan()
     assert len(fan) == 4
     all_rays = sorted({r for cone in fan for r in cone})
@@ -95,61 +97,61 @@ def test_square_normal_fan():
 
 
 def test_normally_equivalent_scaling():
-    p1 = convex_hull(SQUARE)
-    p2 = convex_hull([(2 * x, 2 * y) for x, y in SQUARE])
+    p1 = LatticePolytope(SQUARE)
+    p2 = LatticePolytope([(2 * x, 2 * y) for x, y in SQUARE])
     assert normally_equivalent(p1, p2)
     # rectangles share the square's fan
-    p3 = convex_hull([(0, 0), (3, 0), (3, 1), (0, 1)])
+    p3 = LatticePolytope([(0, 0), (3, 0), (3, 1), (0, 1)])
     assert normally_equivalent(p1, p3)
     # translation does not matter
-    p4 = convex_hull([(x + 5, y - 7) for x, y in SQUARE])
+    p4 = LatticePolytope([(x + 5, y - 7) for x, y in SQUARE])
     assert normally_equivalent(p1, p4)
     # a triangle does not
-    p5 = convex_hull([(0, 0), (1, 0), (0, 1)])
+    p5 = LatticePolytope([(0, 0), (1, 0), (0, 1)])
     assert not normally_equivalent(p1, p5)
 
 
 def test_normally_equivalent_needs_parallel_hulls():
-    s1 = convex_hull([(0, 0, 0), (1, 0, 0)])
-    s2 = convex_hull([(0, 0, 0), (0, 1, 0)])
+    s1 = LatticePolytope([(0, 0, 0), (1, 0, 0)])
+    s2 = LatticePolytope([(0, 0, 0), (0, 1, 0)])
     assert not normally_equivalent(s1, s2)
-    s3 = convex_hull([(5, 3, 0), (7, 3, 0)])
+    s3 = LatticePolytope([(5, 3, 0), (7, 3, 0)])
     assert normally_equivalent(s1, s3)
 
 
 def test_segment_scaled_fan_equal():
-    p1 = convex_hull([(2, 1, 2, 1), (1, 2, 1, 2)])
-    p2 = convex_hull([(4, 2, 4, 2), (2, 4, 2, 4)])
+    p1 = LatticePolytope([(2, 1, 2, 1), (1, 2, 1, 2)])
+    p2 = LatticePolytope([(4, 2, 4, 2), (2, 4, 2, 4)])
     assert normally_equivalent(p1, p2)
 
 
 def test_contains():
-    p = convex_hull(SQUARE)
+    p = LatticePolytope(SQUARE)
     assert p.contains((Fraction(1, 2), Fraction(1, 2)))
-    assert p.strictly_contains((Fraction(1, 2), Fraction(1, 2)))
+    assert relative_interior_contains(p, (Fraction(1, 2), Fraction(1, 2)))
     assert p.contains((0, Fraction(1, 2)))
-    assert not p.strictly_contains((0, Fraction(1, 2)))
+    assert not relative_interior_contains(p, (0, Fraction(1, 2)))
     assert not p.contains((2, 0))
     assert (1, 1) in p.vertices
     assert (0, Fraction(1, 2)) not in p.vertices
 
 
 def test_contains_off_affine_hull():
-    p = convex_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0)])
+    p = LatticePolytope([(0, 0, 0), (1, 0, 0), (0, 1, 0)])
     assert p.contains((0, 0, 0))
     assert not p.contains((0, 0, 1))
 
 
 def test_lattice_points():
-    p = convex_hull([(0, 0), (2, 0), (0, 2)])
+    p = LatticePolytope([(0, 0), (2, 0), (0, 2)])
     pts = p.lattice_points()
     assert len(pts) == 6
-    p2 = convex_hull(HEXAGON)
+    p2 = LatticePolytope(HEXAGON)
     assert len(p2.lattice_points()) == 7
 
 
 def test_rational_hull():
-    p = convex_hull([(0, 0), (Fraction(1, 2), 0), (0, Fraction(1, 2)), (Fraction(1, 4), Fraction(1, 4))])
+    p = LatticePolytope([(0, 0), (Fraction(1, 2), 0), (0, Fraction(1, 2)), (Fraction(1, 4), Fraction(1, 4))])
     assert len(p.vertices) == 3
     assert p.contains((Fraction(1, 8), Fraction(1, 8)))
 
@@ -184,7 +186,7 @@ def test_face_masks_hexagon():
     for m in edges:
         assert bin(m).count("1") == 2
         assert not m & 1  # center (label 1) is on no boundary edge
-    assert cfg.boundary_mask() == 0b1111110
+    assert reduce(or_, cfg.face_point_masks(1)) == 0b1111110
     verts = cfg.face_point_masks(0)
     assert len(verts) == 6
     top = cfg.face_point_masks(2)
@@ -199,11 +201,11 @@ def test_face_masks_veronese():
     sizes = sorted(bin(m).count("1") for m in edges)
     assert sizes == [3, 3, 3]
     # (1,1) is the midpoint of the hypotenuse: every point is on the boundary
-    assert cfg.boundary_mask() == 0b111111
+    assert reduce(or_, cfg.face_point_masks(1)) == 0b111111
 
 
 def test_triangulate_covers_volume():
-    p = convex_hull(HEXAGON)
+    p = LatticePolytope(HEXAGON)
     tris = p.triangulate()
     assert all(len(t) == 3 for t in tris)
     from regtriang.linalg import normalized_simplex_volume

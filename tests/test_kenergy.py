@@ -56,7 +56,7 @@ def test_affine_function_gets_some_regular_triangulation():
     f = PLFunction.from_affine(HEXAGON, [(1, 2, 0)])
     t, k = induced_triangulation(f)
     assert k == 1
-    assert t.is_valid()
+    assert t.validate()
     assert is_regular(t)
 
 
@@ -202,10 +202,12 @@ def test_each_cell_is_checked_affine_once(monkeypatch):
 
 
 def test_failed_dilation_bound_is_a_library_error(monkeypatch):
-    monkeypatch.setattr(kenergy, "_dilation_bound", lambda f: 1)
+    # a wrong order (1 for this order-2 function) fails the faithfulness check
+    monkeypatch.setattr(kenergy, "_clearing_order", lambda config, forms: 1)
     f = PLFunction.from_affine(SQUARE, [(0, 0, 0), (2, 0, -1)])
+    assert f.dilation_order() == 1
     with pytest.raises(CheckFailed):
-        f.dilation_order()
+        k_energy_integral(f)
 
 
 def _count_refinements(monkeypatch):
@@ -231,11 +233,51 @@ def test_one_refinement_per_function(monkeypatch):
 
 def test_one_refinement_per_probed_dilation(monkeypatch):
     builds = _count_refinements(monkeypatch)
-    # the break line x = 1/3 is probed at k = 1, 2 and 3
+    # the break line x = 1/3 gives the order 3: only 3Q is built
     f = PLFunction.from_affine(SQUARE, [(0, 0, 0), (3, 0, -1)])
     assert k_energy_integral(f) == k_energy_pairing(f)
     assert induced_triangulation(f)[1] == 3
-    assert builds == [4, 9, 16]
+    assert builds == [16]
+
+
+def test_dilation_order_is_read_off_without_building(monkeypatch):
+    def build(*args):
+        pytest.fail("the order was probed by a build")
+
+    monkeypatch.setattr(kenergy, "_refine_heights", build)
+    monkeypatch.setattr(PLFunction, "dilate", build)
+    # domain vertices (1/2, 1/2), (1/3, 1/3) and (-1/5, 3/5)
+    f = PLFunction.from_affine(fixture("3"), [(1, 0, 0), (0, 1, 0), (-1, -1, 1)])
+    assert f.dilation_order() == 30
+    g = PLFunction.from_affine(fixture("4c"), [(0, 0, "1/3"), (1, 2, 0)])
+    assert g.dilation_order() == 63
+
+
+def probed_order(f, cap):
+    """Reference: the least k <= cap whose dilation is faithful, found by
+    building each dilation in turn; None past the cap."""
+    return next((k for k in range(1, cap + 1) if f.dilate(k).is_faithful), None)
+
+
+_PROBE_CAP = 5  # a probe at k builds a hull of ~k^2 area(Q) lifted points
+_THIRDS = st.fractions(min_value=-1, max_value=1, max_denominator=3)
+_FORM = st.tuples(
+    _THIRDS, _THIRDS, st.fractions(min_value=-2, max_value=2, max_denominator=3)
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(("square", "hexagon", "triangle4")),
+    st.lists(_FORM, min_size=2, max_size=3),
+)
+def test_dilation_order_equals_the_probe(name, forms):
+    f = PLFunction.from_affine(fixture(name), forms)
+    probed = probed_order(f, _PROBE_CAP)
+    if probed is None:
+        assert f.dilation_order() > _PROBE_CAP
+    else:
+        assert f.dilation_order() == probed
 
 
 _RATIONAL = st.fractions(min_value=-12, max_value=12, max_denominator=6)

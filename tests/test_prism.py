@@ -1,4 +1,6 @@
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 import pytest
 
@@ -89,7 +91,7 @@ def classify(config):
     vertices = set()
     for mask in config.face_point_masks(0):
         vertices.update(i + 1 for i in range(len(config.points)) if mask >> i & 1)
-    bmask = config.boundary_mask()
+    bmask = reduce(or_, config.face_point_masks(config.dim - 1))
     boundary = {i + 1 for i in range(len(config.points)) if bmask >> i & 1}
     labels = set(range(1, len(config.points) + 1))
     return vertices, boundary - vertices, labels - boundary

@@ -1,6 +1,7 @@
 """Guards on the package source itself, read with ast."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import regtriang
@@ -33,3 +34,72 @@ def test_polytopes_leaves_checkpoints_to_the_enumeration():
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
     assert not {m for m in imported if m and "checkpoint" in m}
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _resolve(node, names):
+    if isinstance(node, ast.Name):
+        return names[node.id]
+    if isinstance(node, ast.Attribute):
+        return getattr(_resolve(node.value, names), node.attr)
+    raise TypeError(f"cannot resolve {ast.dump(node)}")
+
+
+def test_every_name_the_benchmark_imports_exists():
+    missing = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("regtriang"):
+                mod = importlib.import_module(node.module)
+                for alias in node.names:
+                    if not hasattr(mod, alias.name):
+                        try:
+                            importlib.import_module(f"{node.module}.{alias.name}")
+                        except ImportError:
+                            missing.append(f"{path.name}: {node.module}.{alias.name}")
+    assert missing == []
+
+
+def test_every_entry_point_the_tracer_wraps_exists():
+    # layertrace wraps by name: a missing one breaks the traced benchmark run
+    tree = ast.parse((PERFBENCH / "layertrace.py").read_text())
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                importlib.import_module(alias.name)
+                top = alias.name.split(".")[0]
+                names[top] = importlib.import_module(top)
+        elif isinstance(node, ast.ImportFrom) and node.module == "regtriang":
+            for alias in node.names:
+                names[alias.name] = importlib.import_module(f"regtriang.{alias.name}")
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Assign)
+            and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+            and isinstance(node.value, ast.Attribute)
+        ):
+            try:  # aliases such as Engine = triangulation.Engine
+                names[node.targets[0].id] = _resolve(node.value, names)
+            except (KeyError, TypeError):  # a local, such as spans = tracer.spans
+                pass
+    wrapped = []
+    missing = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("function", "method")
+        ):
+            owner = _resolve(node.args[0], names)
+            attr = node.args[1].value
+            wrapped.append(attr)
+            # function() reads it with getattr, method() from the class __dict__
+            found = hasattr(owner, attr) if node.func.id == "function" else attr in vars(owner)
+            if not found:
+                missing.append(f"{ast.unparse(node.args[0])}.{attr}")
+    assert len(wrapped) > 30
+    assert missing == []

@@ -1,7 +1,12 @@
+from itertools import combinations
+
 from regtriang.enumeration import enumerate_regular
+from regtriang.fixtures import fixture
 from regtriang.geometry import PointConfiguration
-from regtriang.triangulation import Triangulation
-from regtriang.weights import eta_k, hurwitz_vector, is_massive, massive_gkz
+from regtriang.linalg import normalized_simplex_volume
+from regtriang.prism import nu_vector, prism_configuration
+from regtriang.triangulation import Triangulation, _mask, engine
+from regtriang.weights import eta_k, hurwitz_vector, massive_gkz
 
 SQUARE = PointConfiguration([(0, 0), (1, 0), (1, 1), (0, 1)])
 
@@ -64,6 +69,29 @@ HEXAGON_HURWITZ = {
 }
 
 
+def is_massive(config, labels):
+    """Reference: the simplex lies in a hull face of its own dimension;
+    maximal simplices always do."""
+    k = len(labels) - 1
+    if k == config.dim:
+        return True
+    sm = _mask(labels)
+    return any(sm & fm == sm for fm in config.face_point_masks(k))
+
+
+def reference_eta(triangulation, k):
+    """Reference eta_k: its own pass over the distinct k-faces of the cells."""
+    cfg = triangulation.config
+    vals = [0] * len(cfg)
+    faces = {sub for cell in triangulation.cells for sub in combinations(cell, k + 1)}
+    for face in faces:
+        if is_massive(cfg, face):
+            v = normalized_simplex_volume([cfg.point(l) for l in face])
+            for l in face:
+                vals[l - 1] += v
+    return tuple(vals)
+
+
 def all_regular(config):
     res = enumerate_regular(config, collect=True)
     return [Triangulation.decode(config, enc) for enc in res.encodings]
@@ -98,6 +126,31 @@ def test_massiveness_on_the_hexagon():
     assert is_massive(HEXAGON, (1, 2, 3))  # full-dimensional
     # chords between non-adjacent vertices cross the interior
     assert not is_massive(HEXAGON, (2, 4))
+    eng = engine(HEXAGON)
+    for labels in ((1,), (1, 2), (2,), (2, 3), (2, 4)):
+        faces = HEXAGON.face_point_masks(len(labels) - 1)
+        assert eng.massive(_mask(labels), faces) == is_massive(HEXAGON, labels)
+
+
+def test_weight_vectors_match_the_four_pass_reference():
+    base = fixture("4b")
+    prism = prism_configuration(base)
+    for config in (fixture("square"), fixture("hexagon"), base, prism):
+        n = config.dim
+        for t in all_regular(config):
+            etas = [reference_eta(t, k) for k in range(n + 1)]
+            assert [eta_k(t, k).values for k in range(n + 1)] == etas
+            massive = tuple(
+                sum((-1) ** (n - k) * etas[k][i] for k in range(n + 1))
+                for i in range(len(config))
+            )
+            assert massive_gkz(t).values == massive
+            hurwitz = tuple(n * a - b for a, b in zip(etas[n], etas[n - 1]))
+            assert hurwitz_vector(t).values == hurwitz
+            if config is prism:
+                m = len(base)
+                nu = tuple(massive[i] + massive[i + m] for i in range(m))
+                assert nu_vector(t).values == nu
 
 
 def test_veronese_hurwitz_vectors_exactly():
