@@ -1,10 +1,13 @@
 """Append-only JSONL checkpoints for long enumeration runs.
 
-Layout: a header line, then one "v" record per accepted triangulation in
-acceptance order, a "commit" record closing each search level with the
-next frontier inline, and a final "done" record. A resumed run needs all
-v records (the visited set), the last commit (the active frontier) and
-the v records after it (acceptances from the level that was interrupted).
+Layout (version 2): a header line, then one "v" record per accepted
+triangulation in acceptance order, a {"t": "commit", "level", "count"}
+record closing each search level, and a final "done" record. The frontier
+a commit opens is the v records since the previous commit. A resumed run
+needs all v records (the visited set), the last commit with its frontier,
+and the v records after it (acceptances from the interrupted level).
+Version 1 commits also repeat their frontier; the reader ignores that
+copy and otherwise reads both versions alike.
 A trailing partial line from a killed writer is tolerated, and so is a
 file cut inside its header line, which holds nothing yet; corruption
 anywhere else is an error.
@@ -12,28 +15,24 @@ anywhere else is an error.
 
 import json
 import os
+from itertools import chain
 
 from .errors import CheckpointCorrupt
 
 MAGIC = "regtriang-checkpoint"
-VERSION = 1
+VERSION = 2
 # every header begins so, its keys being sorted
-_HEADER_START = '{"config": '
+_HEADER_START = b'{"config": '
 
 
 class CheckpointWriter:
     def __init__(self, path, config_digest=None, params=None, append=False, valid_bytes=None):
-        if append:
+        if append:  # after the intact records read_checkpoint measured, header included
             self.fh = open(path, "r+")
-            if valid_bytes is not None:
-                self.fh.seek(valid_bytes)
-                self.fh.truncate()
-            else:
-                self.fh.seek(0, 2)
-            if self.fh.tell() > 0:
-                self.fh.seek(self.fh.tell() - 1)
-                if self.fh.read(1) != "\n":
-                    self.fh.write("\n")
+            self.fh.seek(valid_bytes - 1)
+            self.fh.truncate(valid_bytes)
+            if self.fh.read(1) != "\n":  # the last record was cut just before its newline
+                self.fh.write("\n")
         else:
             self.fh = open(path, "w")
             header = {
@@ -48,87 +47,89 @@ class CheckpointWriter:
     def record(self, enc):
         self.fh.write(json.dumps({"t": "v", "enc": enc}) + "\n")
 
-    def commit(self, level, frontier, count):
-        line = {"t": "commit", "level": level, "frontier": list(frontier), "count": count}
-        self.fh.write(json.dumps(line) + "\n")
+    def commit(self, level, count):
+        self.fh.write(json.dumps({"t": "commit", "level": level, "count": count}) + "\n")
         self.fh.flush()
         os.fsync(self.fh.fileno())
 
     def done(self, count):
         self.fh.write(json.dumps({"t": "done", "count": count}) + "\n")
-        self.fh.flush()
         self.fh.close()
 
     def close(self):
-        if not self.fh.closed:
-            self.fh.flush()
-            self.fh.close()
+        self.fh.close()
 
 
 class CheckpointState:
     def __init__(self):
         self.config_digest = None
-        self.params = {}
         self.accepted = []  # all v encodings in file order
-        self.frontier = None  # from the last commit, None if none committed
+        self.frontier = None  # v encodings the last commit closed, None if none committed
         self.level = 0
         self.post_commit = []  # v encodings after the last commit
         self.done = False
         self.valid_bytes = 0  # extent of intact records, for safe appends
 
 
+def _count(path, rec, key):
+    value = rec.get(key)
+    if type(value) is not int or value < 0:
+        raise CheckpointCorrupt(f"{path}: {rec.get('t')} record has no valid {key!r}")
+    return value
+
+
 def read_checkpoint(path):
+    """The state a checkpoint file holds, read one line at a time.
+
+    The encodings are returned as written; checking them against the
+    configuration is left to the caller.
+    """
     state = CheckpointState()
-    with open(path) as fh:
-        data = fh.read()
-    if "\n" not in data and (
-        _HEADER_START.startswith(data) or data.startswith(_HEADER_START)
-    ):
-        return state  # cut inside the header: no configuration, no frontier
-    lines = data.split("\n")
-    ends_with_newline = data.endswith("\n")
-    if ends_with_newline:
-        lines.pop()
-    records = []
-    offset = 0
-    for i, line in enumerate(lines):
-        last = i == len(lines) - 1
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError:
-            if last:
-                break  # partial trailing line from an interrupted write
-            raise CheckpointCorrupt(f"{path}: bad record on line {i + 1}")
-        offset += len(line) + (1 if (not last or ends_with_newline) else 0)
-    state.valid_bytes = offset
-    if not records:
+    opened = 0  # index in accepted where the last commit's frontier began
+    closed = None  # index in accepted of the last commit
+    with open(path, "rb") as fh:
+        first = fh.readline()
+        if not first.endswith(b"\n") and (
+            _HEADER_START.startswith(first) or first.startswith(_HEADER_START)
+        ):
+            return state  # cut inside the header: no configuration, no frontier
+        for number, line in enumerate(chain([first], fh), 1):
+            try:
+                rec = json.loads(line)
+            except ValueError:
+                if not fh.readline():
+                    break  # partial trailing line from an interrupted write
+                raise CheckpointCorrupt(f"{path}: bad record on line {number}")
+            state.valid_bytes += len(line)
+            if number == 1:
+                if not isinstance(rec, dict) or rec.get("magic") != MAGIC:
+                    raise CheckpointCorrupt(f"{path}: missing header")
+                if rec.get("version") not in (1, VERSION):
+                    raise CheckpointCorrupt(f"{path}: unsupported version {rec.get('version')}")
+                state.config_digest = rec.get("config")
+                continue
+            if state.done:
+                raise CheckpointCorrupt(f"{path}: records after done marker")
+            kind = rec.get("t") if isinstance(rec, dict) else None
+            if kind == "v":
+                state.accepted.append(rec.get("enc"))
+            elif kind == "commit":
+                state.level = _count(path, rec, "level")
+                count = _count(path, rec, "count")
+                if count != len(state.accepted):
+                    raise CheckpointCorrupt(
+                        f"{path}: commit count {count} != {len(state.accepted)} records"
+                    )
+                opened, closed = closed or 0, count
+            elif kind == "done":
+                if _count(path, rec, "count") != len(state.accepted):
+                    raise CheckpointCorrupt(f"{path}: done count mismatch")
+                state.done = True
+            else:
+                raise CheckpointCorrupt(f"{path}: unknown record type {kind!r}")
+    if not state.valid_bytes:
         raise CheckpointCorrupt(f"{path}: no complete records")
-    head = records[0]
-    if not isinstance(head, dict) or head.get("magic") != MAGIC:
-        raise CheckpointCorrupt(f"{path}: missing header")
-    if head.get("version") != VERSION:
-        raise CheckpointCorrupt(f"{path}: unsupported version {head.get('version')}")
-    state.config_digest = head.get("config")
-    state.params = head.get("params", {})
-    for rec in records[1:]:
-        if state.done:
-            raise CheckpointCorrupt(f"{path}: records after done marker")
-        kind = rec.get("t")
-        if kind == "v":
-            state.accepted.append(rec["enc"])
-            state.post_commit.append(rec["enc"])
-        elif kind == "commit":
-            state.frontier = rec["frontier"]
-            state.level = rec["level"]
-            if rec["count"] != len(state.accepted):
-                raise CheckpointCorrupt(
-                    f"{path}: commit count {rec['count']} != {len(state.accepted)} records"
-                )
-            state.post_commit = []
-        elif kind == "done":
-            if rec["count"] != len(state.accepted):
-                raise CheckpointCorrupt(f"{path}: done count mismatch")
-            state.done = True
-        else:
-            raise CheckpointCorrupt(f"{path}: unknown record type {kind!r}")
+    if closed is not None:
+        state.frontier = state.accepted[opened:closed]
+    state.post_commit = state.accepted[closed or 0:]
     return state

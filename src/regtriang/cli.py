@@ -8,7 +8,6 @@ checkpoint problems, and 1 for any other library error.
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -117,7 +116,7 @@ def _enumeration_kwargs(args):
         "jobs": args.jobs,
         "budget": args.budget,
         "checkpoint_path": checkpoint,
-        "resume": bool(checkpoint) and os.path.exists(checkpoint),
+        "resume": bool(checkpoint),
     }
 
 
@@ -324,7 +323,7 @@ def cmd_table(args):
                 jobs=args.jobs,
                 budget=args.budget,
                 checkpoint_path=checkpoint,
-                resume=bool(checkpoint) and os.path.exists(checkpoint),
+                resume=bool(checkpoint),
             )
         except BudgetExceeded:
             rows.append({"label": label, "skipped": "budget"})

@@ -1,11 +1,15 @@
 """Breadth-first enumeration of regular triangulations via flips.
 
-The search runs level-synchronously: every flip neighbor of the current
-frontier is generated serially, the regularity decisions run in sorted
-order (optionally across a worker pool), and accepted triangulations form
-the next frontier. The result is therefore identical for any worker
-count. Visited and rejected candidates are remembered as short blake2b
-digests; encodings are only kept on disk or when collecting.
+The walk is level-synchronous and runs on cell masks: the frontier, the
+candidates and the pool's tasks are sorted tuples of cell bitmasks. Every
+flip neighbor of the frontier is generated serially, the regularity
+decisions run in sorted order (optionally across a worker pool), and the
+accepted triangulations form the next frontier, so the result is the same
+for any worker count. A triangulation is encoded once, when accepted;
+encodings are decoded only when a checkpoint resumes. Visited and rejected
+triangulations are kept as 96-bit blake2b digests of the mask tuple, on the
+assumption that no two share one (odds about n^2 / 2^97 for n
+triangulations, below 10^-17 for a million).
 """
 
 import multiprocessing
@@ -14,7 +18,7 @@ from hashlib import blake2b
 from os import path as os_path
 
 from .checkpoint import CheckpointWriter, read_checkpoint
-from .errors import BudgetExceeded, CheckFailed, DigestMismatch
+from .errors import BudgetExceeded, CheckFailed, CheckpointCorrupt, DigestMismatch
 from .geometry import PointConfiguration
 from .triangulation import Triangulation, engine, flip, placing_triangulation, supported_flips
 
@@ -28,32 +32,39 @@ class EnumerationResult:
     encodings: list | None = None
 
 
-def _digest(enc):
-    return blake2b(enc.encode(), digest_size=12).digest()
+def _digest(masks):
+    return blake2b(repr(masks).encode(), digest_size=12).digest()
 
 
-def _neighbor_encodings(config, enc):
-    t = Triangulation.decode(config, enc)
-    out = []
-    for circ in supported_flips(t):
-        out.append(flip(t, circ).encode())
-    return out
+def _neighbor_encodings(config, masks):
+    """Mask tuples of the flip neighbors, one per supported flip."""
+    t = Triangulation.from_masks(config, masks)
+    return [flip(t, circ).masks for circ in supported_flips(t)]
 
 
 _WORKER = {}
 
 
 def _init_worker(points):
-    cfg = PointConfiguration(points)
-    _WORKER["config"] = cfg
-    _WORKER["engine"] = engine(cfg)
+    _WORKER["engine"] = engine(PointConfiguration(points))
 
 
-def _decide(enc):
-    cfg = _WORKER["config"]
-    eng = _WORKER["engine"]
-    t = Triangulation.decode(cfg, enc)
-    return eng.regular_quick(t.masks)[0]
+def _decide(masks):
+    return _WORKER["engine"].regular_quick(masks)[0]
+
+
+def _record_masks(config, enc, path):
+    """Cell masks of a checkpointed encoding, which must be the canonical
+    encoding of cells of d+1 distinct labels in 1..N."""
+    try:
+        t = Triangulation.decode(config, enc) if isinstance(enc, str) else None
+    except ValueError:
+        t = None
+    if t is None or t.encode() != enc or not all(
+        m >> len(config) == 0 and m.bit_count() == config.dim + 1 for m in t.masks
+    ):
+        raise CheckpointCorrupt(f"{path}: {enc!r} is not a triangulation encoding")
+    return t.masks
 
 
 def enumerate_regular(
@@ -83,8 +94,17 @@ def enumerate_regular(
     count = 0
     encodings = [] if collect else None
     writer = None
-    level = 0
-    partial = set()
+
+    def accept(masks, enc):
+        nonlocal count
+        visited.add(_digest(masks))
+        count += 1
+        if writer:
+            writer.record(enc)
+        if collect:
+            encodings.append(enc)
+        if on_accept:
+            on_accept(enc)
 
     state = None
     if checkpoint_path and resume and os_path.exists(checkpoint_path):
@@ -98,17 +118,13 @@ def enumerate_regular(
         if state.frontier is None:
             state = None  # killed before its first commit: start afresh
     if state is not None:
-        for enc in state.accepted:
-            visited.add(_digest(enc))
-            if collect:
-                encodings.append(enc)
-            if on_accept:
-                on_accept(enc)
-        count = len(state.accepted)
+        for enc in state.accepted:  # no writer yet, so nothing is recorded again
+            accept(_record_masks(config, enc, checkpoint_path), enc)
         if state.done:
             return EnumerationResult(count, True, encodings)
-        partial = {_digest(enc) for enc in state.post_commit}
-        frontier = list(state.frontier)
+        frontier = [_record_masks(config, enc, checkpoint_path) for enc in state.frontier]
+        frontier = [tuple(map(eng.cell_masks.setdefault, m, m)) for m in frontier]
+        partial = {_digest(_record_masks(config, e, checkpoint_path)) for e in state.post_commit}
         level = state.level
         writer = CheckpointWriter(
             checkpoint_path, append=True, valid_bytes=state.valid_bytes
@@ -120,66 +136,48 @@ def enumerate_regular(
                 config_digest=config.digest(),
                 params={"budget": budget, "jobs": jobs},
             )
-        seed_enc = placing_triangulation(config).encode()
-        if not eng.regular_quick(Triangulation.decode(config, seed_enc).masks)[0]:
-            raise CheckFailed(f"placing triangulation {seed_enc} not certified regular")
-        visited.add(_digest(seed_enc))
-        count = 1
-        if collect:
-            encodings.append(seed_enc)
+        seed = placing_triangulation(config)
+        if not eng.regular_quick(seed.masks)[0]:
+            raise CheckFailed(f"placing triangulation {seed.encode()} not certified regular")
+        accept(seed.masks, seed.encode())
         if writer:
-            writer.record(seed_enc)
-            writer.commit(0, [seed_enc], count)
-        if on_accept:
-            on_accept(seed_enc)
-        frontier = [seed_enc]
+            writer.commit(0, count)
+        frontier = [seed.masks]
+        level = 0
+        partial = set()
 
     pool = None
     try:
         if jobs > 1:
             pool = multiprocessing.Pool(jobs, _init_worker, (config.points,))
         while frontier:
-            cand = set()
-            for enc in frontier:
-                cand.update(_neighbor_encodings(config, enc))
-            todo = []
             next_frontier = []
-            for enc in sorted(cand):
-                d = _digest(enc)
-                if d in visited:
-                    if d in partial:
-                        next_frontier.append(enc)
-                    continue
-                if d in rejected:
-                    continue
-                todo.append(enc)
+            cand = {}
+            for masks in frontier:
+                for nb in _neighbor_encodings(config, masks):
+                    d = _digest(nb)
+                    if d in partial:  # accepted before the interruption: not decided again
+                        partial.remove(d)
+                        next_frontier.append(nb)
+                    elif d not in visited and d not in rejected:
+                        cand[d] = nb
+            todo = sorted(cand.values())
             if pool and len(todo) >= jobs * 4:
                 chunk = max(1, len(todo) // (jobs * 8))
                 decisions = pool.map(_decide, todo, chunksize=chunk)
             else:
-                decisions = [
-                    eng.regular_quick(Triangulation.decode(config, enc).masks)[0]
-                    for enc in todo
-                ]
-            for enc, ok in zip(todo, decisions):
-                d = _digest(enc)
+                decisions = [eng.regular_quick(masks)[0] for masks in todo]
+            for masks, ok in zip(todo, decisions):
                 if ok:
-                    visited.add(d)
-                    count += 1
-                    next_frontier.append(enc)
-                    if writer:
-                        writer.record(enc)
-                    if collect:
-                        encodings.append(enc)
-                    if on_accept:
-                        on_accept(enc)
+                    accept(masks, Triangulation.from_masks(config, masks).encode())
+                    next_frontier.append(masks)
                 else:
-                    rejected.add(d)
+                    rejected.add(_digest(masks))
             partial = set()
             level += 1
-            frontier = sorted(next_frontier)
+            frontier = next_frontier
             if writer:
-                writer.commit(level, frontier, count)
+                writer.commit(level, count)
             if count >= budget and frontier:
                 raise BudgetExceeded(
                     f"enumeration stopped at {count} triangulations "

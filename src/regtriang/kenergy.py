@@ -23,6 +23,7 @@ from .lp import max_eq_lp
 from .polytopes import hurwitz_degree_formula
 from .triangulation import (
     Triangulation,
+    _labels,
     engine,
     height_subdivision,
     placing_triangulation,
@@ -268,8 +269,8 @@ def integral_over_Q(f, triangulation):
     eng = engine(f.config)
     n = f.config.polytope.dim
     total = Fraction(0)
-    for cell, mask in zip(triangulation.cells, triangulation.masks):
-        vertex_sum = sum(f.value_at_label(label) for label in cell)
+    for mask in triangulation.masks:
+        vertex_sum = sum(f.value_at_label(label) for label in _labels(mask))
         total += eng.volume(mask) * vertex_sum
     return total / factorial(n + 1)
 

@@ -58,6 +58,15 @@ def primitive(vec):
     return tuple(x // g for x in vec)
 
 
+def primitive_direction(vec):
+    """Primitive integer vector of a line, its first nonzero entry positive."""
+    vec = primitive(vec)
+    lead = next((x for x in vec if x), 0)
+    if not lead:
+        raise ValueError("zero direction")
+    return vec if lead > 0 else tuple(-x for x in vec)
+
+
 def rank_int(rows):
     """Rank of an integer matrix via fraction-free elimination."""
     a = [list(r) for r in rows if any(r)]
@@ -290,13 +299,7 @@ def affine_dependence(points):
         return None
     if len(ker) > 1:
         raise ValueError("dependence space has dimension > 1")
-    dep = primitive(ker[0])
-    for x in dep:
-        if x != 0:
-            if x < 0:
-                dep = tuple(-v for v in dep)
-            break
-    return dep
+    return primitive_direction(ker[0])
 
 
 def barycentric(simplex_points, p):

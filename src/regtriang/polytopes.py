@@ -11,6 +11,7 @@ traced back to a witness.
 from .enumeration import enumerate_regular
 from .errors import NonconstantSum
 from .geometry import LatticePolytope, normally_equivalent
+from .linalg import primitive_direction
 from .lp import in_hull
 from .prism import nu_vector, prism_configuration
 from .triangulation import Triangulation
@@ -146,22 +147,9 @@ def relative_interior_contains(polytope, vector):
     return True
 
 
-def _primitive(direction):
-    from math import gcd
-
-    g = 0
-    for d in direction:
-        g = gcd(g, d)
-    out = tuple(d // g for d in direction)
-    for d in out:
-        if d:
-            return out if d > 0 else tuple(-x for x in out)
-    raise ValueError("zero direction")
-
-
 def _edge_directions(poly):
     return sorted(
-        {_primitive(tuple(b - a for a, b in zip(*edge))) for edge in poly.edges()}
+        {primitive_direction(tuple(b - a for a, b in zip(*edge))) for edge in poly.edges()}
     )
 
 

@@ -1,7 +1,8 @@
 """Triangulations of point configurations: validity, regularity, flips.
 
-Cells are stored as bitmasks (bit i-1 = label i) next to the public
-sorted-label view. A per-configuration engine caches simplex volumes,
+A triangulation is the sorted tuple of its cell bitmasks (bit i-1 =
+label i); the sorted-label view and its string encoding are derived on
+first use. A per-configuration engine caches simplex volumes,
 affine dependences and containment tests, since enumeration revisits the
 same small sets constantly.
 """
@@ -87,23 +88,35 @@ class Circuit:
 
 
 class Triangulation:
-    """A set of maximal simplices on a configuration, by 1-based labels."""
+    """A set of maximal simplices on a configuration, held as the sorted
+    tuple of their cell bitmasks; the 1-based label view is derived."""
 
     def __init__(self, config, cells):
         self.config = config
-        norm = sorted(tuple(sorted(c)) for c in cells)
-        self.cells = tuple(norm)
-        self.masks = tuple(_mask(c) for c in self.cells)
+        self.masks = tuple(sorted(_mask(c) for c in cells))
+
+    @classmethod
+    def from_masks(cls, config, masks):
+        """The triangulation with these cell bitmasks, given in any order."""
+        t = cls.__new__(cls)
+        t.config = config
+        t.masks = tuple(sorted(masks))
+        return t
+
+    @cached_property
+    def cells(self):
+        """Sorted label tuples of the cells (not aligned with `masks`)."""
+        return tuple(sorted(_labels(m) for m in self.masks))
 
     def __eq__(self, other):
         return (
             isinstance(other, Triangulation)
-            and self.cells == other.cells
+            and self.masks == other.masks
             and self.config.points == other.config.points
         )
 
     def __hash__(self):
-        return hash(self.cells)
+        return hash(self.masks)
 
     def __repr__(self):
         return f"Triangulation({self.encode()})"
@@ -113,25 +126,18 @@ class Triangulation:
 
     @classmethod
     def decode(cls, config, text):
-        cells = [tuple(int(x) for x in part.split(",")) for part in text.split(";")]
-        return cls(config, cells)
-
-    @property
-    def used_mask(self):
-        m = 0
-        for c in self.masks:
-            m |= c
-        return m
+        return cls(config, [map(int, part.split(",")) for part in text.split(";")])
 
     def validate(self):
         """Check the cells triangulate the hull; raise a specific error."""
         eng = engine(self.config)
         n = self.config.dim
         total = 0
-        for cell, mask in zip(self.cells, self.masks):
-            if len(cell) != n + 1 or len(set(cell)) != n + 1:
+        for mask in self.masks:
+            cell = _labels(mask)
+            if len(cell) != n + 1:
                 raise DegenerateSimplex(f"cell {cell} is not an (n+1)-subset")
-            if not all(1 <= l <= len(self.config) for l in cell):
+            if cell[-1] > len(self.config):
                 raise DegenerateSimplex(f"cell {cell} has labels out of range")
             v = eng.volume(mask)
             if v == 0:
@@ -142,10 +148,9 @@ class Triangulation:
             raise VolumeMismatch(f"cells fill {total}, hull has {hull_vol}")
         for i in range(len(self.masks)):
             for j in range(i + 1, len(self.masks)):
-                if not eng.meet_in_common_face(self.masks[i], self.masks[j]):
-                    raise OverlapNotFace(
-                        f"cells {self.cells[i]} and {self.cells[j]} overlap badly"
-                    )
+                a, b = self.masks[i], self.masks[j]
+                if not eng.meet_in_common_face(a, b):
+                    raise OverlapNotFace(f"cells {_labels(a)} and {_labels(b)} overlap badly")
         return True
 
 
@@ -175,6 +180,8 @@ class Engine:
         self._dep = {}
         self._circuits = {}
         self._bary = {}
+        # one int object per cell mask, shared by the mask tuples holding it
+        self.cell_masks = {}
 
     def points_of(self, mask):
         return [self.pts[i] for i in _bits(mask)]
@@ -433,7 +440,8 @@ def is_regular(triangulation):
     eng = engine(config)
     m = len(config)
     rows = []
-    for cell, cmask in zip(triangulation.cells, triangulation.masks):
+    for cell in triangulation.cells:
+        cmask = _mask(cell)
         for label in config.labels():
             if cmask & (1 << (label - 1)):
                 continue
@@ -522,7 +530,7 @@ def placing_triangulation(config, order=None):
                     mm ^= low
         cells = new_cells
         placed.append(label)
-    return Triangulation(config, [_labels(c) for c in cells])
+    return Triangulation.from_masks(config, cells)
 
 
 def supported_flips(triangulation):
@@ -534,7 +542,7 @@ def supported_flips(triangulation):
         if circ.support in seen:
             continue
         seen.add(circ.support)
-        if _present_side(eng, triangulation.masks, circ) is not None:
+        if _present_side(triangulation.masks, circ) is not None:
             out.append(circ)
     return sorted(out, key=lambda c: c.support)
 
@@ -553,55 +561,39 @@ def _candidate_circuits(eng, masks):
                 yield circ
 
 
-def _present_side(eng, masks, circ):
-    """Which side of the circuit is supported in T: 'plus', 'minus', None.
+def _present_side(masks, circ):
+    """The side of the circuit present in T as (smask, taus, link, new), or None.
 
-    'plus' means the cells using all of circ.plus are present (so the flip
-    would switch to the minus side).
+    T holds every cell tau | lam, for tau the support minus one label of
+    one side and lam in the link; the flip replaces them by the cells
+    made with the labels of the other side, `new`. The plus side (cells
+    using all of circ.plus) is tried first.
     """
     smask = _mask(circ.support)
     cellset = set(masks)
-    for name, removers in (("plus", circ.minus), ("minus", circ.plus)):
-        taus = [smask & ~(1 << (z - 1)) for z in removers]
+    for old, new in ((circ.minus, circ.plus), (circ.plus, circ.minus)):
+        taus = [smask & ~(1 << (z - 1)) for z in old]
         tau0 = taus[0]
         link = [c & ~tau0 for c in masks if c & tau0 == tau0]
-        if not link:
-            continue
-        ok = True
-        for tau in taus:
-            owners = [c for c in masks if c & tau == tau]
-            if len(owners) != len(link):
-                ok = False
-                break
-            for lam in link:
-                if (tau | lam) not in cellset:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return name
+        if link and all(
+            sum(1 for c in masks if c & tau == tau) == len(link)
+            and all(tau | lam in cellset for lam in link)
+            for tau in taus
+        ):
+            return smask, taus, link, new
     return None
 
 
 def flip(triangulation, circuit):
     """Apply the circuit flip; UnsupportedFlip if it does not apply."""
     eng = engine(triangulation.config)
-    masks = triangulation.masks
-    side = _present_side(eng, masks, circuit)
+    side = _present_side(triangulation.masks, circuit)
     if side is None:
         raise UnsupportedFlip(f"{circuit} is not supported")
-    smask = _mask(circuit.support)
-    if side == "plus":
-        old_removers, new_removers = circuit.minus, circuit.plus
-    else:
-        old_removers, new_removers = circuit.plus, circuit.minus
-    taus = [smask & ~(1 << (z - 1)) for z in old_removers]
-    tau0 = taus[0]
-    link = [c & ~tau0 for c in masks if c & tau0 == tau0]
+    smask, taus, link, new = side
     old_cells = {tau | lam for tau in taus for lam in link}
-    new_cells = {
-        (smask & ~(1 << (z - 1))) | lam for z in new_removers for lam in link
-    }
-    result = [c for c in masks if c not in old_cells] + sorted(new_cells)
-    return Triangulation(triangulation.config, [_labels(c) for c in result])
+    result = [c for c in triangulation.masks if c not in old_cells]
+    # no link mask meets the support, so the new cells are distinct
+    new_cells = [(smask & ~(1 << (z - 1))) | lam for z in new for lam in link]
+    result.extend(eng.cell_masks.setdefault(c, c) for c in new_cells)
+    return Triangulation.from_masks(triangulation.config, result)

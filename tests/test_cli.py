@@ -398,6 +398,23 @@ def test_checkpoint_corrupt_exits_4(tmp_path, capsys):
     assert report["error"]["type"] == "CheckpointCorrupt"
 
 
+@pytest.mark.parametrize("enc", ["1,2,99", "1,2,x", 7])
+def test_checkpoint_malformed_record_exits_4(tmp_path, capsys, enc):
+    # [TRIVIAL] a record that encodes no triangulation is corruption,
+    # whether it parses (labels out of range) or not.
+    ck = tmp_path / "ck.jsonl"
+    command = ["triang", "enumerate", "hexagon", "--count-only", "--checkpoint", str(ck)]
+    code, _ = run_json(command, capsys)
+    assert code == 0
+    lines = ck.read_text().splitlines()
+    level_one = [i for i, line in enumerate(lines) if json.loads(line).get("t") == "v"][1]
+    lines[level_one] = json.dumps({"t": "v", "enc": enc})
+    ck.write_text("\n".join(lines) + "\n")
+    code, report = run_json(command, capsys)
+    assert code == 4
+    assert report["error"]["type"] == "CheckpointCorrupt"
+
+
 def test_out_writes_file(tmp_path, capsys):
     # [TRIVIAL] --out diverts the report; stdout stays empty.
     out = tmp_path / "report.json"

@@ -1,6 +1,8 @@
+import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -190,6 +192,144 @@ def test_corrupt_checkpoint_is_reported(tmp_path):
         fh.writelines(lines)
     with pytest.raises(CheckpointCorrupt):
         enumerate_regular(SQUARE, checkpoint_path=path, resume=True)
+
+
+def _records(path):
+    with open(path) as fh:
+        return [json.loads(line) for line in fh]
+
+
+def _write_records(path, records):
+    with open(path, "w") as fh:
+        for rec in records:  # a header's keys are sorted
+            fh.write(json.dumps(rec, sort_keys="magic" in rec) + "\n")
+
+
+def _as_version_1(records):
+    """The records in the version 1 layout: each commit also lists its
+    frontier, the sorted records since the previous commit."""
+    out = []
+    since = []
+    for rec in records:
+        if "magic" in rec:
+            rec = dict(rec, version=1)
+        elif rec["t"] == "v":
+            since.append(rec["enc"])
+        elif rec["t"] == "commit":
+            rec = {"t": "commit", "level": rec["level"], "frontier": sorted(since),
+                   "count": rec["count"]}
+            since = []
+        out.append(rec)
+    return out
+
+
+def test_commits_hold_no_frontier(tmp_path):
+    path = str(tmp_path / "hex.ckpt")
+    with pytest.raises(BudgetExceeded):
+        enumerate_regular(HEXAGON, budget=10, checkpoint_path=path)
+    records = _records(path)
+    assert records[0]["version"] == 2
+    commits = [rec for rec in records if rec.get("t") == "commit"]
+    assert len(commits) >= 2
+    assert all(set(rec) == {"t", "level", "count"} for rec in commits)
+    # the frontier is what the level closed by the last commit accepted
+    state = read_checkpoint(path)
+    assert state.frontier == state.accepted[commits[-2]["count"]:]
+    assert state.post_commit == []
+    assert state.level == commits[-1]["level"]
+
+
+@pytest.mark.parametrize(
+    "enc", ["1,2,99", "1,2,x", 7, None, ["1,2,3"], "", "2,1,3", "1,1,2", "1,2", "1,2,3,4",
+            "1,2,3;1,3,0", "01,2,3"],
+)
+def test_malformed_record_is_corrupt(tmp_path, enc):
+    # a record must be the canonical encoding of cells of d+1 distinct labels in 1..N
+    path = str(tmp_path / "hex.ckpt")
+    enumerate_regular(HEXAGON, checkpoint_path=path)
+    records = _records(path)
+    level_one = [rec for rec in records if rec.get("t") == "v"][1]
+    level_one["enc"] = enc
+    _write_records(path, records)
+    with pytest.raises(CheckpointCorrupt):
+        enumerate_regular(HEXAGON, checkpoint_path=path, resume=True)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [b'{"t": "commit", "level": "x", "count": 1}', b'{"t": "done"}', b"[1, 2]", b"\xff\xfe"],
+)
+def test_malformed_line_is_corrupt(tmp_path, line):
+    path = str(tmp_path / "hex.ckpt")
+    enumerate_regular(HEXAGON, checkpoint_path=path)
+    with open(path, "rb") as fh:
+        lines = fh.readlines()
+    lines.insert(1, line + b"\n")
+    with open(path, "wb") as fh:
+        fh.writelines(lines)
+    with pytest.raises(CheckpointCorrupt):
+        read_checkpoint(path)
+
+
+def test_version_1_checkpoint_resumes_from_a_cut_at_every_byte(tmp_path):
+    # the inline frontiers of the older layout are redundant: every prefix
+    # resumes to the uninterrupted run's encodings and acceptance stream
+    path = str(tmp_path / "veronese.ckpt")
+    fresh = enumerate_regular(VERONESE, checkpoint_path=path, collect=True).encodings
+    _write_records(path, _as_version_1(_records(path)))
+    with open(path, "rb") as fh:
+        data = fh.read()
+    assert read_checkpoint(path).done
+    for cut in range(len(data) + 1):
+        with open(path, "wb") as fh:
+            fh.write(data[:cut])
+        streamed = []
+        res = enumerate_regular(
+            VERONESE, checkpoint_path=path, resume=True,
+            on_accept=streamed.append, collect=True,
+        )
+        assert res.complete, cut
+        assert streamed == res.encodings == fresh, cut
+        assert read_checkpoint(path).done, cut
+
+
+def test_version_1_inline_frontier_is_not_read(tmp_path):
+    # the frontier comes from the v records, which are checked; a garbled
+    # copy of it in a version 1 commit changes nothing
+    path = str(tmp_path / "hex.ckpt")
+    with pytest.raises(BudgetExceeded):
+        enumerate_regular(HEXAGON, budget=10, checkpoint_path=path)
+    records = _as_version_1(_records(path))
+    for rec in records:
+        if rec.get("t") == "commit":
+            rec["frontier"] = ["1,2,x", 7]
+    _write_records(path, records)
+    res = enumerate_regular(HEXAGON, checkpoint_path=path, resume=True, collect=True)
+    assert res.encodings == enumerate_regular(HEXAGON, collect=True).encodings
+
+
+def test_a_fresh_walk_encodes_each_acceptance_once_and_decodes_nothing(tmp_path, monkeypatch):
+    calls = Counter()
+    decode, encode = Triangulation.decode.__func__, Triangulation.encode
+
+    def counted_decode(cls, config, text):
+        calls["decode"] += 1
+        return decode(cls, config, text)
+
+    def counted_encode(self):
+        calls["encode"] += 1
+        return encode(self)
+
+    monkeypatch.setattr(Triangulation, "decode", classmethod(counted_decode))
+    monkeypatch.setattr(Triangulation, "encode", counted_encode)
+    streamed = []
+    res = enumerate_regular(
+        NESTED, checkpoint_path=str(tmp_path / "nested.ckpt"),
+        on_accept=streamed.append, collect=True,
+    )
+    assert res.count == 16  # two of the 18 flip-graph nodes are rejected
+    assert calls == {"encode": 16}
+    assert streamed == res.encodings
 
 
 _UNDER_O = """

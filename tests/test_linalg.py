@@ -12,6 +12,7 @@ from regtriang.linalg import (
     lattice_length,
     normalized_simplex_volume,
     primitive,
+    primitive_direction,
     rank_rows,
     saturation_basis,
     solve_integer_saturated,
@@ -78,6 +79,13 @@ def test_primitive():
     assert primitive((2, 4, -6)) == (1, 2, -3)
     assert primitive((0, 0)) == (0, 0)
     assert primitive((-3, 0, 9)) == (-1, 0, 3)
+
+
+def test_primitive_direction():
+    assert primitive_direction((0, -2, 4)) == (0, 1, -2)
+    assert primitive_direction((3, -6)) == (1, -2)
+    with pytest.raises(ValueError):
+        primitive_direction((0, 0))
 
 
 def test_rank():
