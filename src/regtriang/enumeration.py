@@ -55,13 +55,19 @@ def _decide(masks):
 
 def _record_masks(config, enc, path):
     """Cell masks of a checkpointed encoding, which must be the canonical
-    encoding of cells of d+1 distinct labels in 1..N."""
+    encoding of cells of d+1 distinct labels in 1..N whose volumes are
+    positive and fill the hull."""
     try:
         t = Triangulation.decode(config, enc) if isinstance(enc, str) else None
     except ValueError:
         t = None
-    if t is None or t.encode() != enc or not all(
-        m >> len(config) == 0 and m.bit_count() == config.dim + 1 for m in t.masks
+    eng = engine(config)
+    if (
+        t is None
+        or t.encode() != enc
+        or not all(m >> len(config) == 0 and m.bit_count() == config.dim + 1 for m in t.masks)
+        or not all(eng.volume(m) > 0 for m in t.masks)
+        or sum(map(eng.volume, t.masks)) != eng.hull_volume
     ):
         raise CheckpointCorrupt(f"{path}: {enc!r} is not a triangulation encoding")
     return t.masks

@@ -1,21 +1,24 @@
 """Lattice point configurations, convex hulls, faces and normal fans.
 
-Hulls are computed by exact gift wrapping: facets are discovered by
-rotating a supporting hyperplane inside a pencil until it touches new
-points, and ridges come from recursing into facet hulls. All coordinates
-are integers or Fractions; nothing is approximated.
+Hulls are computed by beneath-beyond placing: the points are inserted
+one at a time, each point beyond some boundary walls of the current
+triangulation is coned over them, and the boundary walls that remain
+triangulate the facets of the hull. The same routine gives the placing
+triangulations of a configuration. All coordinates are integers or
+Fractions; nothing is approximated.
 """
 
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from .errors import BadConfig, CheckFailed, DimensionUnsupported
 from .linalg import (
+    det_int,
+    hnf,
     integer_kernel,
     lattice_length,
-    normalized_simplex_volume,
     primitive,
     rank_rows,
     saturation_basis,
@@ -29,172 +32,141 @@ def _dirs(points, origin):
     return [tuple(a - b for a, b in zip(p, origin)) for p in points]
 
 
-def _kernel_basis(vectors, dim):
-    """Integer basis of {x : v.x = 0 for all v}, valid for rational input."""
-    rows = []
-    for v in vectors:
-        w, _ = scale_to_integers(v)
-        if any(w):
-            rows.append(list(w))
-    if not rows:
-        rows = [[0] * dim]
-    return integer_kernel(rows)
-
-
 def _dot(u, p):
     return sum(a * b for a, b in zip(u, p))
 
 
+def bit_indices(mask):
+    """Indices of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _span(frame):
+    """(chart columns, equations) of the affine span of affinely independent
+    points: projecting onto the chart columns is injective on the span, and
+    a point is in the span iff n.p == c for every equation (n, c)."""
+    base = frame[0]
+    dirs = [list(scale_to_integers(d)[0]) for d in _dirs(frame[1:], base)]
+    dirs = dirs or [[0] * len(base)]
+    cols = [next(j for j, x in enumerate(row) if x) for row in hnf(dirs)]
+    return cols, [(n, _dot(n, base)) for n in integer_kernel(dirs)]
+
+
+def _wall_functional(rows, apex):
+    """Primitive integer f with f.(1, x) zero on the wall and positive at its
+    apex, given as integer multiples of the rows (1, x) of their chart
+    coordinates: the cofactors of a last row (1, x) under the wall's rows."""
+    r = len(rows)
+    f = primitive([
+        (-1) ** (r + j) * det_int([row[:j] + row[j + 1:] for row in rows])
+        for j in range(r + 1)
+    ])
+    side = _dot(f, apex)
+    if side == 0:
+        raise CheckFailed("placed cell is degenerate")
+    return f if side > 0 else tuple(-c for c in f)
+
+
+def place(points, order):
+    """Beneath-beyond placing of the points, taken in the given index order.
+
+    A point off the affine span of those placed so far makes a pyramid
+    over every cell; a point strictly beyond some boundary walls is coned
+    over them; any other point lies in the hull already and is skipped.
+    Returns (cells, walls): the cells as index masks, and each boundary
+    wall's index mask mapped to (apex, functional). The apex is the other
+    vertex of the wall's cell. The functional f is zero on the wall and
+    positive at the apex as f[0] + f[1:].x, with x read on the chart
+    columns of the final span, which are all coordinates when the points
+    span them. Functionals are derived once per wall and again only when
+    the span grows.
+    """
+    order = iter(order)
+    first = next(order)
+    frame = [points[first]]
+    cols, eqs = _span(frame)
+    cells = [1 << first]
+    walls = {0: first}  # boundary wall mask -> apex index
+    funcs = {}
+    rows = {}  # point index -> integer multiple of (1, chart coordinates)
+
+    def row(i):
+        r = rows.get(i)
+        if r is None:
+            r = rows[i] = scale_to_integers([1] + [points[i][c] for c in cols])[0]
+        return r
+
+    def functional(wall):
+        f = funcs.get(wall)
+        if f is None:
+            f = funcs[wall] = _wall_functional(
+                [row(i) for i in bit_indices(wall)], row(walls[wall])
+            )
+        return f
+
+    for i in order:
+        q = points[i]
+        bit = 1 << i
+        if any(_dot(n, q) != c for n, c in eqs):
+            walls = {w | bit: a for w, a in walls.items()}
+            walls.update((cell, i) for cell in cells)
+            cells = [cell | bit for cell in cells]
+            frame.append(q)
+            cols, eqs = _span(frame)
+            funcs = {}
+            rows = {}
+            continue
+        x = row(i)
+        visible = [w for w in walls if _dot(functional(w), x) < 0]
+        # a ridge of one visible wall is on the horizon, of two is not
+        horizon = {}
+        for w in visible:
+            cells.append(w | bit)
+            del walls[w], funcs[w]
+            for v in bit_indices(w):
+                if horizon.pop(w ^ (1 << v), None) is None:
+                    horizon[w ^ (1 << v)] = v
+        for ridge, v in horizon.items():
+            walls[ridge | bit] = v
+    return cells, {w: (a, functional(w)) for w, a in walls.items()}
+
+
 class _Hull:
-    """Facet structure of the convex hull of distinct full-dim points."""
+    """Facets, vertices and a placing triangulation of distinct points
+    spanning their `dim` coordinates."""
 
     def __init__(self, pts, dim):
         self.pts = pts
         self.dim = dim
-        # facets: list of (primitive integer inner normal, offset, tight tuple)
-        if dim == 0:
-            self.facets = []
-            self.vertices = (0,)
-            return
-        if dim == 1:
-            xs = [p[0] for p in pts]
-            imin = min(range(len(pts)), key=lambda i: xs[i])
-            imax = max(range(len(pts)), key=lambda i: xs[i])
-            self.facets = [((1,), xs[imin], (imin,)), ((-1,), -xs[imax], (imax,))]
-            self.vertices = tuple(sorted({imin, imax}))
-            return
-        self._wrap()
-
-    def _tight(self, u, c):
-        return tuple(i for i, p in enumerate(self.pts) if _dot(u, p) == c)
-
-    def _sweep(self, u, base, keep_dirs, away_from=None):
-        """Pivot a supporting functional u inside the pencil around keep_dirs.
-
-        Picks w complementary to u in the pencil of functionals vanishing
-        on keep_dirs and returns the supporting functional a*.w - b*.u for
-        the candidate point minimizing b/a (a = u-value, b = w-value,
-        relative to base). The result is tight on keep_dirs plus at least
-        one point off their span. When away_from is given (a point tight
-        under u but off keep_dirs), w is oriented so that point ends up
-        strictly positive, which selects the neighbor facet across a ridge.
-        """
-        pts = self.pts
-        kern = _kernel_basis(keep_dirs, self.dim)
-        w = None
-        for cand in kern:
-            if rank_rows([u, cand]) == 2:
-                w = cand
-                break
-        if w is None:
-            raise CheckFailed("rotation pencil is degenerate")
-        bvals = [_dot(w, p) - _dot(w, base) for p in pts]
-        avals = [_dot(u, p) - _dot(u, base) for p in pts]
-        if away_from is not None:
-            bv = bvals[away_from]
-            if avals[away_from] != 0 or bv == 0:
-                raise CheckFailed("cannot leave the current facet")
-            if bv < 0:
-                w = tuple(-x for x in w)
-                bvals = [-x for x in bvals]
-        best = None
-        for a, b in zip(avals, bvals):
-            if a > 0 and (best is None or b * best[0] < best[1] * a):
-                best = (a, b)
-        if best is None:
+        self.cells, walls = place(pts, range(len(pts)))
+        if self.cells[0].bit_count() != dim + 1:
             raise CheckFailed("hull input not full-dimensional")
-        a, b = best
-        phi = tuple(a * wi - b * ui for wi, ui in zip(w, u))
-        phi_int, _ = scale_to_integers(phi)
-        return primitive(phi_int)
-
-    def _wrap(self):
-        pts = self.pts
-        k = self.dim
-        # initial supporting functional: e_1, then rotate until the tight
-        # set spans a hyperplane
-        u = tuple([1] + [0] * (k - 1))
-        c = min(_dot(u, p) for p in pts)
-        tight = self._tight(u, c)
-        base = pts[tight[0]]
-        while rank_rows(_dirs([pts[i] for i in tight], base)) < k - 1:
-            u = self._sweep(u, base, _dirs([pts[i] for i in tight], base))
-            c = min(_dot(u, p) for p in pts)
-            tight = self._tight(u, c)
-            base = pts[tight[0]]
-        facets = {}
-        verts = set()
-        queue = [(u, tight)]
-        facets[u] = (u, _dot(u, pts[tight[0]]), tight)
-        while queue:
-            u, tight = queue.pop()
-            tpts = [pts[i] for i in tight]
-            sub = _sub_hull(tpts, k - 1)
-            verts.update(tight[i] for i in sub.vertices)
-            for _, _, ridge in sub.facets:
-                r0 = tpts[ridge[0]]
-                ridge_dirs = _dirs([tpts[i] for i in ridge], r0)
-                rank0 = rank_rows(ridge_dirs)
-                # a tight point off the ridge span fixes the rotation side
-                away = None
-                for j, q in enumerate(tpts):
-                    d = tuple(a - b for a, b in zip(q, r0))
-                    if rank_rows(ridge_dirs + [d]) > rank0:
-                        away = tight[j]
-                        break
-                if away is None:
-                    raise CheckFailed("no tight point off the ridge span")
-                nu = self._sweep(u, r0, ridge_dirs, away_from=away)
-                if nu not in facets:
-                    nc = _dot(nu, r0)
-                    ntight = self._tight(nu, nc)
-                    facets[nu] = (nu, nc, ntight)
-                    queue.append((nu, ntight))
-        self.facets = sorted(facets.values())
-        self.vertices = tuple(sorted(verts))
-
-
-def _chart(points, dim):
-    """Injective linear chart onto `dim` coordinates chosen by pivots."""
-    if not points:
-        return []
-    p0 = points[0]
-    dirs = _dirs(points, p0)
-    rows = []
-    for d in dirs:
-        w, _ = scale_to_integers(d)
-        rows.append(list(w))
-    # find pivot columns by rational elimination
-    ncols = len(p0)
-    piv_cols = []
-    work = [[Fraction(x) for x in r] for r in rows]
-    rowi = 0
-    for col in range(ncols):
-        sel = None
-        for i in range(rowi, len(work)):
-            if work[i][col] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        work[rowi], work[sel] = work[sel], work[rowi]
-        pv = work[rowi][col]
-        for i in range(len(work)):
-            if i != rowi and work[i][col] != 0:
-                f = work[i][col] / pv
-                work[i] = [a - f * b for a, b in zip(work[i], work[rowi])]
-        piv_cols.append(col)
-        rowi += 1
-        if len(piv_cols) == dim:
-            break
-    if len(piv_cols) != dim:
-        raise CheckFailed(f"chart has rank {len(piv_cols)}, not {dim}")
-    return [tuple(p[c] for c in piv_cols) for p in points]
-
-
-def _sub_hull(points, dim):
-    """Hull of points whose affine span has the given dimension."""
-    return _Hull(_chart(points, dim) if dim > 0 else [points[0]], dim)
+        # facets: (primitive integer inner normal, offset, tight tuple)
+        self.facets = []
+        self.vertices = (0,)
+        if dim == 0:
+            return
+        for u in {primitive(f[1:]) for _, f in walls.values()}:
+            values = [_dot(u, p) for p in pts]
+            off = min(values)
+            self.facets.append((u, off, tuple(i for i, v in enumerate(values) if v == off)))
+        self.facets.sort()
+        tight_masks = [sum(1 << i for i in tight) for _, _, tight in self.facets]
+        # a vertex is the only point on every facet through it
+        verts = []
+        for i in range(len(pts)):
+            common = -1
+            for m in tight_masks:
+                if m >> i & 1:
+                    common &= m
+            if common == 1 << i:
+                verts.append(i)
+        self.vertices = tuple(verts)
 
 
 @dataclass(frozen=True)
@@ -235,25 +207,20 @@ class LatticePolytope:
     @property
     def reduced(self):
         if self._reduced is None:
-            if self.dim == 0:
-                self._reduced = [() for _ in self.points]
-            else:
+            sols = _dirs(self.points, self.base)
+            # in full dimension the saturated basis is the identity: no solve
+            if self.dim < self.ambient_dim:
                 rows = [
                     [self.basis[j][i] for j in range(self.dim)]
                     for i in range(self.ambient_dim)
                 ]
-                out = []
-                for p in self.points:
-                    rhs = [a - b for a, b in zip(p, self.base)]
-                    sol = solve_rational(rows, rhs)
-                    if sol is None:
-                        raise CheckFailed(f"point {p} is off the affine hull")
-                    # integral coordinates as ints keep the hull arithmetic
-                    # off Fractions
-                    out.append(
-                        tuple(int(x) if x.denominator == 1 else x for x in sol)
-                    )
-                self._reduced = out
+                sols = [solve_rational(rows, rhs) for rhs in sols]
+                if None in sols:
+                    raise CheckFailed("a point is off the affine hull")
+            # integral coordinates as ints keep the hull arithmetic off Fractions
+            self._reduced = [
+                tuple(int(x) if x.denominator == 1 else x for x in sol) for sol in sols
+            ]
         return self._reduced
 
     def _unreduce(self, t):
@@ -282,6 +249,8 @@ class LatticePolytope:
         Each inequality normal.x >= offset holds on the polytope and is
         tight on the facet; together with the affine hull they cut it out.
         """
+        if self.dim == self.ambient_dim:
+            return [(u, c + _dot(u, self.base)) for u, c, _ in self.hull.facets]
         out = []
         for u, c, _ in self.hull.facets:
             n_amb = solve_integer_saturated(self.basis, u)
@@ -419,25 +388,20 @@ class LatticePolytope:
 
     def triangulate(self):
         """Simplices (tuples of ambient points) covering the polytope."""
-        if self.dim == 0:
-            return [(tuple(self.points[0]),)]
-        if self.dim == 1:
-            vs = self.vertices
-            return [(tuple(vs[0]), tuple(vs[-1]))]
-        v0 = self.points[self.hull.vertices[0]]
-        out = []
-        for u, c, tight in self.hull.facets:
-            t0 = self.reduced[self.hull.vertices[0]]
-            if _dot(u, t0) == c:
-                continue
-            sub = LatticePolytope([self.points[i] for i in tight])
-            for simplex in sub.triangulate():
-                out.append((tuple(v0),) + simplex)
-        return out
+        return [
+            tuple(self.points[i] for i in bit_indices(cell)) for cell in self.hull.cells
+        ]
 
     def normalized_volume(self):
-        """Normalized lattice volume (dim! times euclidean, saturated)."""
-        return sum(normalized_simplex_volume(s) for s in self.triangulate())
+        """Normalized volume (dim! times euclidean) in the saturated lattice
+        of the affine hull, read off the reduced coordinates."""
+        red = self.reduced
+        total = 0
+        for cell in self.hull.cells:
+            first, *rest = bit_indices(cell)
+            edges = [scale_to_integers(d) for d in _dirs([red[i] for i in rest], red[first])]
+            total += Fraction(abs(det_int([w for w, _ in edges])), prod(s for _, s in edges))
+        return int(total) if total.denominator == 1 else total
 
     def lattice_points(self):
         """All integer points in the polytope, sorted."""
@@ -457,10 +421,10 @@ class LatticePolytope:
         """Sum of normalized facet volumes; polygons only."""
         if self.dim != 2:
             raise DimensionUnsupported("boundary volume implemented for polygons")
+        ends_of = set(self.hull.vertices)
         total = 0
-        for u, c, tight in self.hull.facets:
-            sub = [self.points[i] for i in tight]
-            ends = LatticePolytope(sub).vertices
+        for _, _, tight in self.hull.facets:
+            ends = [self.points[i] for i in tight if i in ends_of]
             if len(ends) != 2:
                 raise CheckFailed(f"facet with {len(ends)} ends")
             total += lattice_length(ends[0], ends[1])

@@ -20,7 +20,7 @@ from .errors import (
     UnsupportedFlip,
     VolumeMismatch,
 )
-from .geometry import LatticePolytope
+from .geometry import LatticePolytope, bit_indices, place
 from .linalg import (
     affine_dependence,
     barycentric,
@@ -44,19 +44,8 @@ class NotRegular:
 NOT_REGULAR = NotRegular()
 
 
-def _bits(mask):
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
-
-
 def _labels(mask):
-    return tuple(i + 1 for i in _bits(mask))
+    return tuple(i + 1 for i in bit_indices(mask))
 
 
 def _mask(labels):
@@ -184,7 +173,7 @@ class Engine:
         self.cell_masks = {}
 
     def points_of(self, mask):
-        return [self.pts[i] for i in _bits(mask)]
+        return [self.pts[i] for i in bit_indices(mask)]
 
     def volume(self, mask):
         v = self._vol.get(mask)
@@ -311,7 +300,7 @@ class Engine:
         ordered = sorted(masks)
         hosts = [
             (i, next((cm for cm in ordered if self.cell_contains(cm, i + 1)), None))
-            for i in _bits(self.full_mask & ~used)
+            for i in bit_indices(self.full_mask & ~used)
         ]
         return walls, hosts
 
@@ -490,46 +479,8 @@ def placing_triangulation(config, order=None):
     outside cone over the visible boundary; points off the current affine
     span cone over every cell.
     """
-    labels = list(order) if order is not None else list(config.labels())
-    placed = []
-    cells = []  # masks of current d-simplices
-    for label in labels:
-        p = config.point(label)
-        bit = 1 << (label - 1)
-        if not placed:
-            placed.append(label)
-            cells = [bit]
-            continue
-        poly = LatticePolytope([config.point(l) for l in placed])
-        coords = poly._coord_or_none(p)
-        if coords is None:
-            # dimension jump: pyramid over everything
-            cells = [c | bit for c in cells]
-            placed.append(label)
-            continue
-        if poly.contains(p):
-            continue
-        new_cells = list(cells)
-        for u, off, tight in poly.hull.facets:
-            val = sum(a * b for a, b in zip(u, coords))
-            if val >= off:
-                continue
-            # facet is visible; cone over the boundary walls lying on it
-            tight_mask = 0
-            for t in tight:
-                tight_mask |= 1 << (placed[t] - 1)
-            for cm in cells:
-                mm = cm
-                while mm:
-                    low = mm & (-mm)
-                    wall = cm ^ low
-                    if wall and wall & tight_mask == wall:
-                        wc = wall | bit
-                        if wc not in new_cells:
-                            new_cells.append(wc)
-                    mm ^= low
-        cells = new_cells
-        placed.append(label)
+    labels = order if order is not None else config.labels()
+    cells, _ = place(config.points, [l - 1 for l in labels])
     return Triangulation.from_masks(config, cells)
 
 

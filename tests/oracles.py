@@ -1,10 +1,17 @@
-"""Independent brute-force triangulation enumeration for tiny plane configs.
+"""Independent brute-force oracles for the library's geometry.
 
-Used to cross-check the flip-graph enumeration: candidate cells are all
-non-collinear triples, a tiling is grown by always covering one fixed
-uncovered witness point, and completed tilings are deduplicated as sets.
+- all_triangulations: every triangulation of a tiny plane configuration,
+  to cross-check the flip-graph enumeration. Candidate cells are all
+  non-collinear triples, a tiling is grown by always covering one fixed
+  uncovered witness point, and completed tilings are deduplicated as sets.
+- hull_facets, hull_vertices, hull_volume: the convex hull by brute force,
+  a facet being the hyperplane through affinely independent points with
+  every point on one side.
+- placing_cells: the placing triangulation built from a new brute-force
+  hull of the placed points at every step.
+
 Everything is exact rational arithmetic and nothing here shares logic
-with the library's enumeration.
+with the library.
 """
 
 from fractions import Fraction
@@ -142,3 +149,127 @@ def all_triangulations(config):
 
     grow(frozenset(), 0)
     return found
+
+
+def _reduce(rows):
+    """Reduced row echelon form over the rationals, zero rows dropped."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        m[rank] = [x / m[rank][col] for x in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][col]:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return m[:rank]
+
+
+def affine_rank(points):
+    """Dimension of the affine span of the points."""
+    return len(_reduce([[a - b for a, b in zip(p, points[0])] for p in points[1:]]))
+
+
+def _value(f, p):
+    return f[0] + sum(a * b for a, b in zip(f[1:], p))
+
+
+def hull_facets(points):
+    """Facets of conv(points) as (f, tight): f = (c0, c1, ..) with
+    c0 + c.x >= 0 on the points and zero exactly on those with indices in
+    the frozenset tight. For lower-dimensional points f is one of many
+    functionals that agree on their affine span."""
+    k = affine_rank(points)
+    if k == 0:
+        return []
+    found = {}
+    for subset in combinations(range(len(points)), k):
+        on = [points[i] for i in subset]
+        if affine_rank(on) != k - 1:
+            continue
+        off = next(p for p in points if affine_rank(on + [p]) == k)
+        # f = (c0, c): zero on the subset and one at a point off its span
+        rows = [[1] + list(p) + [0] for p in on] + [[1] + list(off) + [1]]
+        echelon = _reduce(rows)
+        f = [Fraction(0)] * (len(points[0]) + 1)
+        for row in echelon:
+            lead = next(j for j, x in enumerate(row) if x)
+            f[lead] = row[-1]
+        values = [_value(f, p) for p in points]
+        if all(v >= 0 for v in values):
+            tight = frozenset(i for i, v in enumerate(values) if v == 0)
+            found.setdefault(tight, tuple(f))
+    return [(f, tight) for tight, f in found.items()]
+
+
+def in_hull(q, points):
+    """Whether q lies in conv(points)."""
+    if affine_rank(points + [q]) > affine_rank(points):
+        return False
+    if affine_rank(points) == 0:
+        return True
+    return all(_value(f, q) >= 0 for f, _ in hull_facets(points))
+
+
+def hull_vertices(points):
+    """The points that are not in the hull of the others."""
+    return [
+        p for i, p in enumerate(points)
+        if len(points) == 1 or not in_hull(p, points[:i] + points[i + 1:])
+    ]
+
+
+def hull_volume(points):
+    """dim! times the euclidean volume of full-dimensional points, summed
+    over the pyramids from the first point over the facets: a pyramid of
+    height f(v)/|c| has volume f(v) vol(F)/(d |c|), and projecting the
+    facet F along a coordinate j with c_j != 0 scales its volume by
+    |c_j|/|c|."""
+    d = len(points[0])
+    if d == 0:
+        return 1
+    total = 0
+    for f, tight in hull_facets(points):
+        height = _value(f, points[0])
+        if height:
+            j = next(j for j, c in enumerate(f[1:]) if c)
+            facet = [points[i][:j] + points[i][j + 1:] for i in sorted(tight)]
+            total += height / abs(f[j + 1]) * hull_volume(facet)
+    return total
+
+
+def placing_cells(points, order):
+    """Cell masks (bit i = points[i]) of the placing triangulation in the
+    given order: a point off the span of the placed points cones over every
+    cell, a point beyond some facets of their hull cones over the cell
+    walls on those facets, and any other point is skipped."""
+    placed = []
+    cells = []
+    for i in order:
+        p, bit = points[i], 1 << i
+        if not placed:
+            placed, cells = [i], [bit]
+            continue
+        current = [points[j] for j in placed]
+        if affine_rank(current + [p]) > affine_rank(current):
+            placed.append(i)
+            cells = [c | bit for c in cells]
+            continue
+        beyond = [tight for f, tight in hull_facets(current) if _value(f, p) < 0]
+        if not beyond:
+            continue
+        new = list(cells)
+        for tight in beyond:
+            facet = sum(1 << placed[t] for t in tight)
+            for c in cells:
+                for v in range(c.bit_length()):
+                    wall = c & ~(1 << v)
+                    if wall and wall != c and wall & facet == wall and wall | bit not in new:
+                        new.append(wall | bit)
+        placed.append(i)
+        cells = new
+    return sorted(cells)

@@ -415,6 +415,22 @@ def test_checkpoint_malformed_record_exits_4(tmp_path, capsys, enc):
     assert report["error"]["type"] == "CheckpointCorrupt"
 
 
+def test_checkpoint_record_that_is_no_triangulation_exits_4(tmp_path, capsys):
+    # a well-formed encoding whose one cell does not fill the hull is
+    # corruption too; counting it would lose a real triangulation
+    ck = tmp_path / "ck.jsonl"
+    command = ["triang", "enumerate", "hexagon", "--count-only", "--checkpoint", str(ck)]
+    code, _ = run_json(command, capsys)
+    assert code == 0
+    lines = ck.read_text().splitlines()
+    level_one = [i for i, line in enumerate(lines) if json.loads(line).get("t") == "v"][1]
+    lines[level_one] = json.dumps({"t": "v", "enc": "1,2,3"})
+    ck.write_text("\n".join(lines) + "\n")
+    code, report = run_json(command, capsys)
+    assert code == 4
+    assert report["error"]["type"] == "CheckpointCorrupt"
+
+
 def test_out_writes_file(tmp_path, capsys):
     # [TRIVIAL] --out diverts the report; stdout stays empty.
     out = tmp_path / "report.json"

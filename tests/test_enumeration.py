@@ -255,6 +255,27 @@ def test_malformed_record_is_corrupt(tmp_path, enc):
         enumerate_regular(HEXAGON, checkpoint_path=path, resume=True)
 
 
+def _not_a_triangulation(records):
+    """Well-formed encodings that are no triangulation of the hexagon: one
+    cell, and a real record with a flat cell (labels 1, 2, 5 are collinear)
+    added, so that the volumes still sum to the hull's."""
+    real = Triangulation.decode(HEXAGON, [rec for rec in records if rec.get("t") == "v"][1]["enc"])
+    return ["1,2,3", Triangulation(HEXAGON, real.cells + ((1, 2, 5),)).encode()]
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["one-cell", "flat-cell"])
+def test_record_that_is_no_triangulation_is_corrupt(tmp_path, case):
+    # a resume must not count such a record and lose the real one
+    path = str(tmp_path / "hex.ckpt")
+    enumerate_regular(HEXAGON, checkpoint_path=path)
+    records = _records(path)
+    level_one = [rec for rec in records if rec.get("t") == "v"][1]
+    level_one["enc"] = _not_a_triangulation(records)[case]
+    _write_records(path, records)
+    with pytest.raises(CheckpointCorrupt):
+        enumerate_regular(HEXAGON, checkpoint_path=path, resume=True)
+
+
 @pytest.mark.parametrize(
     "line",
     [b'{"t": "commit", "level": "x", "count": 1}', b'{"t": "done"}', b"[1, 2]", b"\xff\xfe"],

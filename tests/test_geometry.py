@@ -1,9 +1,13 @@
 from fractions import Fraction
 from functools import reduce
+from math import gcd, lcm
 from operator import or_
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from oracles import affine_rank, hull_facets, hull_vertices, hull_volume
 from regtriang.errors import BadConfig
 from regtriang.geometry import (
     LatticePolytope,
@@ -218,3 +222,60 @@ def test_reduced_coordinates_of_lattice_points_are_ints():
     assert all(type(x) is int for t in poly.reduced for x in t)
     half = LatticePolytope([(0, 0), (Fraction(1, 2), 0), (0, 1)])
     assert {type(x) for t in half.reduced for x in t} == {int, Fraction}
+
+
+@st.composite
+def _embedded_sets(draw):
+    """(points, base): distinct points spanning dimension k <= 4, with
+    denominators up to 3, and their image under x -> (x, Mx + b) in up to
+    two more integer coordinates, shuffled. The image of Z^k is the
+    saturated lattice of the span, so the volumes of both agree."""
+    k = draw(st.integers(0, 4))
+    extra = draw(st.integers(0, min(2, 4 - k)))
+    den = draw(st.integers(1, 3))
+    coords = st.lists(st.integers(-2, 2), min_size=k, max_size=k).map(tuple)
+    base = draw(st.lists(coords, min_size=k + 1, max_size=k + 5, unique=True))
+    base = [tuple(Fraction(x, den) for x in p) for p in base]
+    assume(affine_rank(base) == k)
+    rows = draw(st.lists(
+        st.lists(st.integers(-2, 2), min_size=k + 1, max_size=k + 1),
+        min_size=extra, max_size=extra,
+    ))
+    order = draw(st.permutations(range(k + extra)))
+    points = []
+    for p in base:
+        q = p + tuple(sum(a * x for a, x in zip(r, p)) + r[-1] for r in rows)
+        points.append(tuple(q[i] for i in order))
+    return points, base
+
+
+def _inequality(f):
+    """(primitive integer normal, offset) of c0 + c.x >= 0."""
+    scale = reduce(lcm, (c.denominator for c in f), 1)
+    ints = [int(c * scale) for c in f]
+    g = reduce(gcd, ints[1:], 0)
+    return tuple(c // g for c in ints[1:]), Fraction(-ints[0], g)
+
+
+def _tight_sets(points, facets):
+    return {
+        frozenset(i for i, p in enumerate(points) if sum(a * x for a, x in zip(n, p)) == off)
+        for n, off in facets
+    }
+
+
+@settings(max_examples=80, deadline=None)
+@given(_embedded_sets())
+def test_hull_matches_the_brute_force_oracle(case):
+    points, base = case
+    poly = LatticePolytope(points)
+    assert poly.dim == len(base[0])
+    assert poly.vertices == sorted(hull_vertices(points))
+    assert poly.normalized_volume() == hull_volume(base)
+    for normal, off in poly.facets:
+        assert all(sum(a * x for a, x in zip(normal, p)) >= off for p in points)
+    assert _tight_sets(points, poly.facets) == {tight for _, tight in hull_facets(points)}
+    if len(points[0]) == len(base[0]):
+        # full-dimensional: the primitive inner normals are unique
+        expected = [_inequality(f) for f, _ in hull_facets(points)]
+        assert sorted(poly.facets) == sorted(expected)

@@ -13,7 +13,8 @@ from regtriang.errors import (
     UnsupportedFlip,
     VolumeMismatch,
 )
-from regtriang.fixtures import fixture
+from regtriang import geometry
+from regtriang.fixtures import fixture, fixture_names
 from regtriang.geometry import PointConfiguration
 from regtriang.linalg import rank_int
 from regtriang.lp import strict_feasible
@@ -30,6 +31,8 @@ from regtriang.triangulation import (
     placing_triangulation,
     supported_flips,
 )
+
+from oracles import placing_cells
 
 SQUARE = PointConfiguration([(0, 0), (1, 0), (1, 1), (0, 1)])
 
@@ -159,6 +162,56 @@ def test_placing_interior_first_uses_all_points():
     assert is_regular(t)
 
 
+_PLACING_CONFIGS = [fixture(name) for name in fixture_names()] + [
+    prism_configuration(fixture(name)) for name in fixture_names()
+]
+
+
+@pytest.mark.parametrize(
+    "config", _PLACING_CONFIGS,
+    ids=list(fixture_names()) + [f"{name}-prism" for name in fixture_names()],
+)
+def test_placing_matches_the_hull_per_point_oracle(config):
+    # label order, then random orders of random subsets, as the K-energy
+    # refinement places the points of each coarse cell
+    rng = random.Random(len(config) * 101 + config.dim)
+    labels = list(config.labels())
+    orders = [labels] + [rng.sample(labels, rng.randint(1, len(labels))) for _ in range(4)]
+    for order in orders:
+        expected = placing_cells(config.points, [l - 1 for l in order])
+        assert sorted(placing_triangulation(config, order).masks) == expected
+
+
+def test_placing_builds_no_polytope(monkeypatch):
+    built = []
+    init = geometry.LatticePolytope.__init__
+
+    def counted(self, points):
+        built.append(len(points))
+        init(self, points)
+
+    monkeypatch.setattr(geometry.LatticePolytope, "__init__", counted)
+    config = prism_configuration(fixture("hexagon"))
+    placing_triangulation(config)
+    placing_triangulation(config, [14, 3, 9, 1, 7, 12, 5])
+    assert built == []
+
+
+def test_lower_hull_subdivision_builds_one_hull(monkeypatch):
+    built = []
+    init = geometry._Hull.__init__
+
+    def counted(self, pts, dim):
+        built.append(dim)
+        init(self, pts, dim)
+
+    monkeypatch.setattr(geometry._Hull, "__init__", counted)
+    config = prism_configuration(fixture("4b"))
+    heights = [i * i for i in range(len(config))]
+    assert lower_hull_subdivision(config.points, heights)
+    assert built == [config.dim + 1]
+
+
 def test_height_subdivision_square():
     flat = height_subdivision(SQUARE, [0, 0, 0, 0])
     assert flat == [(1, 2, 3, 4)]
@@ -193,24 +246,23 @@ def test_pinwheel_rejections_carry_a_convex_dependence_of_fold_rows():
 
 
 @pytest.mark.parametrize(
-    "config, stride",
+    "config",
     [
-        (fixture("square"), 1),
-        (fixture("4b"), 1),
-        (fixture("hexagon"), 1),
-        (prism_configuration(fixture("square")), 1),
-        # a 4-d hull of 10 points takes about 50 ms: rebuild every 8th
-        (prism_configuration(fixture("4b")), 8),
+        fixture("square"),
+        fixture("4b"),
+        fixture("hexagon"),
+        prism_configuration(fixture("square")),
+        prism_configuration(fixture("4b")),
     ],
     ids=["square", "4b", "hexagon", "cube", "4b-prism"],
 )
-def test_fold_rows_are_affine_dependences_and_heights_rebuild(config, stride):
+def test_fold_rows_are_affine_dependences_and_heights_rebuild(config):
     eng = engine(config)
     full = full_column_engine(config)
     frame = eng.frame
     assert rank_int([list(config.point(l)) + [1] for l in frame]) == len(frame) == config.dim + 1
     kept = [l - 1 for l in config.labels() if l not in frame]
-    for n, enc in enumerate(enumerate_regular(config, collect=True).encodings):
+    for enc in enumerate_regular(config, collect=True).encodings:
         t = Triangulation.decode(config, enc)
         rows = full.fold_rows(t.masks)
         assert [[row[j] for j in kept] for row in rows] == eng.fold_rows(t.masks)
@@ -221,8 +273,7 @@ def test_fold_rows_are_affine_dependences_and_heights_rebuild(config, stride):
         ok, heights = eng.regular_quick(t.masks)
         assert ok
         assert all(heights[l - 1] == 0 for l in frame)
-        if n % stride == 0:
-            assert sorted(lower_hull_subdivision(config.points, heights)) == sorted(t.masks)
+        assert sorted(lower_hull_subdivision(config.points, heights)) == sorted(t.masks)
 
 
 def test_flip_exploration_of_nested_triangles():
