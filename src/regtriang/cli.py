@@ -150,11 +150,12 @@ def cmd_vectors(args):
     config = load_config(args.config)
     n = config.polytope.dim
     if args.all:
-        result = enumerate_regular(config, collect=True, **_enumeration_kwargs(args))
-        vectors = {
-            _weight_vector(args.kind, Triangulation.decode(config, enc), n)
-            for enc in result.encodings
-        }
+        vectors = set()
+
+        def fold(enc):
+            vectors.add(_weight_vector(args.kind, Triangulation.decode(config, enc), n))
+
+        enumerate_regular(config, on_accept=fold, **_enumeration_kwargs(args))
         return {
             "config": config.name,
             "kind": args.kind,

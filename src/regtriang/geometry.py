@@ -6,11 +6,20 @@ triangulation is coned over them, and the boundary walls that remain
 triangulate the facets of the hull. The same routine gives the placing
 triangulations of a configuration. All coordinates are integers or
 Fractions; nothing is approximated.
+
+Every face question is answered by one rule: a proper face of a polytope
+is the intersection of the facets that contain it (Ziegler, Lectures on
+Polytopes, 2.1). Each facet is held as the bitmask of the points on it,
+so the smallest face holding some points is the AND of the facet masks
+that hold them, the vertices are the points that are their own smallest
+face, and the faces are the non-empty intersections of facet masks.
 """
 
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import combinations
 from math import gcd, prod
 
 from .errors import BadConfig, CheckFailed, DimensionUnsupported
@@ -146,36 +155,34 @@ class _Hull:
         self.cells, walls = place(pts, range(len(pts)))
         if self.cells[0].bit_count() != dim + 1:
             raise CheckFailed("hull input not full-dimensional")
-        # facets: (primitive integer inner normal, offset, tight tuple)
+        self.full = (1 << len(pts)) - 1
+        # facets: (primitive integer inner normal, offset, mask of tight points)
         self.facets = []
-        self.vertices = (0,)
-        if dim == 0:
-            return
-        for u in {primitive(f[1:]) for _, f in walls.values()}:
+        normals = {primitive(f[1:]) for _, f in walls.values()} if dim else ()
+        for u in normals:
             values = [_dot(u, p) for p in pts]
             off = min(values)
-            self.facets.append((u, off, tuple(i for i, v in enumerate(values) if v == off)))
+            self.facets.append((u, off, sum(1 << i for i, v in enumerate(values) if v == off)))
         self.facets.sort()
-        tight_masks = [sum(1 << i for i in tight) for _, _, tight in self.facets]
-        # a vertex is the only point on every facet through it
-        verts = []
-        for i in range(len(pts)):
-            common = -1
-            for m in tight_masks:
-                if m >> i & 1:
-                    common &= m
-            if common == 1 << i:
-                verts.append(i)
-        self.vertices = tuple(verts)
+        self.vertices = tuple(i for i in range(len(pts)) if self.face(1 << i) == 1 << i)
+        self.vertex_mask = sum(1 << i for i in self.vertices)
+
+    def face(self, mask):
+        """Mask of the smallest face holding the points of mask: the AND of
+        the facets through them, or every point when no facet holds them."""
+        out = self.full
+        for _, _, m in self.facets:
+            if m & mask == mask:
+                out &= m
+        return out
 
 
 @dataclass(frozen=True)
 class Face:
-    """A face of a polytope: dimension, vertex tuples, defining facets."""
+    """A face of a polytope: its dimension and its sorted ambient vertices."""
 
     dim: int
     vertices: tuple
-    facet_ids: tuple
 
 
 class LatticePolytope:
@@ -200,7 +207,6 @@ class LatticePolytope:
         self.dim = len(self.basis)
         self._reduced = None
         self._hull = None
-        self._faces_cache = {}
 
     # -- coordinates ---------------------------------------------------
 
@@ -286,85 +292,38 @@ class LatticePolytope:
 
     # -- faces -----------------------------------------------------------
 
-    def _incidence(self):
-        hv = self.hull.vertices
-        fac = self.hull.facets
-        inc = {}
-        for v in hv:
-            inc[v] = frozenset(fi for fi, (_, _, tight) in enumerate(fac) if v in tight)
-        return inc
-
-    def _closure(self, vset, inc):
-        common = None
-        for v in vset:
-            common = inc[v] if common is None else common & inc[v]
-        if not common:
-            return frozenset(inc), frozenset()
-        members = frozenset(v for v in inc if common <= inc[v])
-        return members, common
+    @cached_property
+    def face_masks(self):
+        """Point masks of the faces, the polytope itself included, keyed by
+        dimension; each list is ordered by the faces' vertex indices."""
+        hull = self.hull
+        found = {hull.full}
+        for _, _, m in hull.facets:
+            found |= {f & m for f in found if f & m}
+        red = self.reduced
+        out = {}
+        for (first, *rest), f in sorted((bit_indices(f & hull.vertex_mask), f) for f in found):
+            d = rank_rows(_dirs([red[i] for i in rest], red[first])) if rest else 0
+            out.setdefault(d, []).append(f)
+        return out
 
     def faces(self, k):
         """All k-dimensional faces."""
-        if k < 0 or k > self.dim:
-            return []
-        if k in self._faces_cache:
-            return self._faces_cache[k]
-        if k == self.dim:
-            out = [
-                Face(
-                    self.dim,
-                    tuple(sorted(self.points[i] for i in self.hull.vertices)),
-                    (),
-                )
-            ]
-            self._faces_cache[k] = out
-            return out
-        inc = self._incidence()
-        red = self.reduced
-        found = {}
-        frontier = {frozenset([v]) for v in self.hull.vertices}
-        seen = set()
-        while frontier:
-            nxt = set()
-            for vset in frontier:
-                members, common = self._closure(vset, inc)
-                if members in seen:
-                    continue
-                seen.add(members)
-                mm = sorted(members)
-                d = rank_rows(_dirs([red[i] for i in mm], red[mm[0]])) if len(mm) > 1 else 0
-                if d < self.dim:
-                    found[members] = (d, common)
-                for w in self.hull.vertices:
-                    if w not in members:
-                        nxt.add(members | {w})
-            frontier = nxt
-        out = []
-        for members, (d, common) in sorted(found.items(), key=lambda kv: sorted(kv[0])):
-            if d == k:
-                out.append(
-                    Face(
-                        d,
-                        tuple(sorted(self.points[i] for i in members)),
-                        tuple(sorted(common)),
-                    )
-                )
-        self._faces_cache[k] = out
-        return out
+        vmask = self.hull.vertex_mask
+        return [
+            Face(k, tuple(sorted(self.points[i] for i in bit_indices(f & vmask))))
+            for f in self.face_masks.get(k, [])
+        ]
 
     def edges(self):
-        """Vertex pairs forming edges (1-faces), as sorted ambient pairs."""
-        inc = self._incidence()
-        hv = self.hull.vertices
-        out = []
-        for a in range(len(hv)):
-            for b in range(a + 1, len(hv)):
-                va, vb = hv[a], hv[b]
-                common = inc[va] & inc[vb]
-                members = [v for v in hv if common <= inc[v]]
-                if len(members) == 2:
-                    out.append(tuple(sorted((self.points[va], self.points[vb]))))
-        return sorted(out)
+        """Vertex pairs forming edges (1-faces), as sorted ambient pairs:
+        the pairs whose smallest face holds no other vertex."""
+        hull = self.hull
+        return sorted(
+            tuple(sorted((self.points[a], self.points[b])))
+            for a, b in combinations(hull.vertices, 2)
+            if hull.face(1 << a | 1 << b) & hull.vertex_mask == 1 << a | 1 << b
+        )
 
     # -- fans, volumes ---------------------------------------------------
 
@@ -376,15 +335,10 @@ class LatticePolytope:
         polytopes with parallel affine hulls get comparable fans because
         the reduced basis is canonical for the direction space.
         """
-        if self.dim == 0:
-            return frozenset({()})
-        inc = self._incidence()
         fac = self.hull.facets
-        cones = set()
-        for v in self.hull.vertices:
-            rays = tuple(sorted(fac[fi][0] for fi in inc[v]))
-            cones.add(rays)
-        return frozenset(cones)
+        return frozenset(
+            tuple(sorted(u for u, _, m in fac if m >> v & 1)) for v in self.hull.vertices
+        )
 
     def triangulate(self):
         """Simplices (tuples of ambient points) covering the polytope."""
@@ -418,13 +372,21 @@ class LatticePolytope:
         return out
 
     def boundary_volume(self):
-        """Sum of normalized facet volumes; polygons only."""
+        """Sum of the lattice lengths of the edges of a lattice polygon.
+
+        Polygons only, and only with integer vertices: a vertex that is
+        not a lattice point raises BadConfig.
+        """
         if self.dim != 2:
             raise DimensionUnsupported("boundary volume implemented for polygons")
-        ends_of = set(self.hull.vertices)
+        for v in self.vertices:
+            if any(Fraction(x).denominator != 1 for x in v):
+                raise BadConfig(f"vertex {v} is not a lattice point")
         total = 0
-        for _, _, tight in self.hull.facets:
-            ends = [self.points[i] for i in tight if i in ends_of]
+        for _, _, m in self.hull.facets:
+            ends = [
+                tuple(map(int, self.points[i])) for i in bit_indices(m & self.hull.vertex_mask)
+            ]
             if len(ends) != 2:
                 raise CheckFailed(f"facet with {len(ends)} ends")
             total += lattice_length(ends[0], ends[1])
@@ -470,7 +432,6 @@ class PointConfiguration:
         self.dim = d
         self.name = name
         self._polytope = None
-        self._face_masks = {}
         self._engine = None  # set by triangulation.engine on first use
 
     def __len__(self):
@@ -499,25 +460,4 @@ class PointConfiguration:
         Bit i-1 set means label i lies on the face. The top face (k = dim)
         is the mask of all points.
         """
-        if k in self._face_masks:
-            return self._face_masks[k]
-        poly = self.polytope
-        if k == poly.dim:
-            out = [(1 << len(self.points)) - 1]
-        else:
-            facets = poly.facets
-            tight_masks = []
-            for normal, off in facets:
-                m = 0
-                for i, p in enumerate(self.points):
-                    if _dot(normal, p) == off:
-                        m |= 1 << i
-                tight_masks.append(m)
-            out = []
-            for face in poly.faces(k):
-                m = (1 << len(self.points)) - 1
-                for fi in face.facet_ids:
-                    m &= tight_masks[fi]
-                out.append(m)
-        self._face_masks[k] = out
-        return out
+        return self.polytope.face_masks.get(k, [])

@@ -109,7 +109,8 @@ def degree_from_polytope(polytope, k):
 
 
 def hurwitz_degree_formula(q, n=None):
-    """(n+1)vol(Q) - vol(boundary Q) in normalized volumes."""
+    """(n+1)vol(Q) - vol(boundary Q) in normalized volumes, for a lattice
+    polygon Q only: a vertex off the lattice raises BadConfig."""
     poly = getattr(q, "polytope", q)
     if n is None:
         n = poly.dim

@@ -165,7 +165,6 @@ class Engine:
         self.full_mask = (1 << self.m) - 1
         self.hull_volume = config.polytope.normalized_volume()
         self._vol = {}
-        self._massive = {}
         self._dep = {}
         self._circuits = {}
         self._bary = {}
@@ -181,14 +180,6 @@ class Engine:
             v = normalized_simplex_volume(self.points_of(mask))
             self._vol[mask] = v
         return v
-
-    def massive(self, mask, face_masks):
-        """Whether the simplex lies in one of the hull faces given by their
-        point masks, which must be the faces of its own dimension."""
-        flag = self._massive.get(mask)
-        if flag is None:
-            flag = self._massive[mask] = any(mask & fm == mask for fm in face_masks)
-        return flag
 
     def barycentric_in(self, cell_mask, label):
         """Barycentric coordinates of a point in a cell, or None."""
@@ -397,16 +388,9 @@ def lower_hull_subdivision(config_points, heights):
     base_dim = len(config_points[0])
     if poly.dim <= base_dim:
         return [(1 << len(lifted)) - 1]
-    cells = []
-    for normal, off in poly.facets:
-        if normal[-1] <= 0:
-            continue
-        mask = 0
-        for i, q in enumerate(lifted):
-            if sum(a * b for a, b in zip(normal, q)) == off:
-                mask |= 1 << i
-        cells.append(mask)
-    return sorted(cells)
+    # the lift spans its space, so the hull's normals are ambient normals,
+    # and the facets with upward inner normals are the lower ones
+    return sorted(m for normal, _, m in poly.hull.facets if normal[-1] > 0)
 
 
 def height_subdivision(config, heights):

@@ -5,11 +5,17 @@ each point the total normalized volume of the massive k-simplices of T
 containing it; a k-simplex is massive when it lies inside a k-dimensional
 face of the hull (every maximal simplex qualifies). The alternating sum
 over k gives the massive vector, and d*eta_d - eta_{d-1} the ramification
-weight vector. All three come from one walk over the faces of T's cells.
+weight vector. All three come from one walk over T's cell masks.
+
+The massive k-simplices are the cells cut by the k-faces of the hull:
+the sets c & F, for c a cell and F the point mask of a k-face, that hold
+k+1 points. F is a face of the hull, so the points of c on F span a face
+of the simplex c inside F; that face is a k-simplex exactly when it has
+k+1 points, and every massive k-simplex arises so from each cell holding
+it.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .triangulation import engine
 
@@ -36,11 +42,10 @@ class WeightVector:
 
 
 def _face_walk(triangulation, weights):
-    """sum_k weights[k] * eta_k, from the distinct faces of T's cells.
+    """sum_k weights[k] * eta_k, from T's cells cut by the hull's k-faces.
 
     Only the face dimensions k in `weights` are visited, so k = d alone
-    touches the cells and nothing else. Each face's massive flag is cached
-    on the configuration's engine.
+    touches the cells and nothing else.
     """
     cfg = triangulation.config
     n = cfg.dim
@@ -50,11 +55,12 @@ def _face_walk(triangulation, weights):
         if k == n:
             faces = triangulation.masks
         else:
-            faces = set()
-            for cell in triangulation.cells:
-                faces.update(map(sum, combinations([1 << (l - 1) for l in cell], k + 1)))
-            hull_faces = cfg.face_point_masks(k)
-            faces = [sm for sm in faces if eng.massive(sm, hull_faces)]
+            faces = {
+                sm
+                for f in cfg.face_point_masks(k)
+                for c in triangulation.masks
+                if (sm := c & f).bit_count() == k + 1
+            }
         for sm in faces:
             x = weight * eng.volume(sm)
             while sm:

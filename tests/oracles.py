@@ -9,6 +9,9 @@
   every point on one side.
 - placing_cells: the placing triangulation built from a new brute-force
   hull of the placed points at every step.
+- hull_faces: every face of the brute-force hull, by a search over
+  vertex sets grown one vertex at a time, each closed to the vertices on
+  every facet through all of its own.
 
 Everything is exact rational arithmetic and nothing here shares logic
 with the library.
@@ -240,6 +243,31 @@ def hull_volume(points):
             facet = [points[i][:j] + points[i][j + 1:] for i in sorted(tight)]
             total += height / abs(f[j + 1]) * hull_volume(facet)
     return total
+
+
+def hull_faces(points):
+    """Every face of conv(points), the polytope itself included, as
+    (dim, vertex indices, indices of the points on it). A vertex set on no
+    common facet closes to the whole polytope."""
+    vertex_points = hull_vertices(points)
+    verts = [i for i, p in enumerate(points) if p in vertex_points]
+    facets = [tight for _, tight in hull_facets(points)]
+    inc = {v: frozenset(j for j, tight in enumerate(facets) if v in tight) for v in verts}
+    everything = frozenset(range(len(points)))
+    found = {}
+    frontier = {frozenset([v]) for v in verts}
+    while frontier:
+        grown = set()
+        for vset in frontier:
+            common = frozenset.intersection(*(inc[v] for v in vset))
+            members = frozenset(v for v in verts if common <= inc[v])
+            if members in found:
+                continue
+            on = everything.intersection(*(facets[j] for j in common))
+            found[members] = (affine_rank([points[i] for i in members]), on)
+            grown.update(members | {w} for w in verts if w not in members)
+        frontier = grown
+    return [(d, members, on) for members, (d, on) in found.items()]
 
 
 def placing_cells(points, order):

@@ -7,14 +7,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import affine_rank, hull_facets, hull_vertices, hull_volume
+from oracles import affine_rank, hull_faces, hull_facets, hull_vertices, hull_volume
 from regtriang.errors import BadConfig
+from regtriang.fixtures import fixture, fixture_names
 from regtriang.geometry import (
     LatticePolytope,
     PointConfiguration,
     normally_equivalent,
 )
-from regtriang.polytopes import relative_interior_contains
+from regtriang.polytopes import hurwitz_degree_formula, relative_interior_contains
+from regtriang.prism import prism_configuration
 
 SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 HEXAGON = [(0, 0), (0, 1), (1, 1), (1, 0), (0, -1), (-1, -1), (-1, 0)]
@@ -160,6 +162,17 @@ def test_rational_hull():
     assert p.contains((Fraction(1, 8), Fraction(1, 8)))
 
 
+def test_rational_polygon_has_no_boundary_volume():
+    half = LatticePolytope([(0, 0), (Fraction(1, 2), 0), (0, Fraction(1, 2))])
+    with pytest.raises(BadConfig, match=r"vertex .*Fraction\(1, 2\).* not a lattice point"):
+        half.boundary_volume()
+    with pytest.raises(BadConfig):
+        hurwitz_degree_formula(half)
+    # integral vertices given as Fractions are lattice points
+    whole = LatticePolytope([(0, 0), (Fraction(2), 0), (0, Fraction(2)), (Fraction(1, 2), 0)])
+    assert whole.boundary_volume() == 6
+
+
 def test_config_validation():
     with pytest.raises(BadConfig):
         PointConfiguration([])
@@ -279,3 +292,51 @@ def test_hull_matches_the_brute_force_oracle(case):
         # full-dimensional: the primitive inner normals are unique
         expected = [_inequality(f) for f, _ in hull_facets(points)]
         assert sorted(poly.facets) == sorted(expected)
+
+
+def _assert_faces_match_the_oracle(points, poly):
+    """faces, face_masks, edges and normal_fan against the oracle's
+    vertex-set face search over the brute-force hull; returns the
+    oracle's faces."""
+    faces = sorted(hull_faces(points), key=lambda f: sorted(f[1]))
+    for k in range(-1, poly.dim + 2):
+        want = [(members, on) for d, members, on in faces if d == k]
+        assert [(f.dim, f.vertices) for f in poly.faces(k)] == [
+            (k, tuple(sorted(points[i] for i in members))) for members, _ in want
+        ]
+        assert poly.face_masks.get(k, []) == [sum(1 << i for i in on) for _, on in want]
+    assert poly.edges() == sorted(
+        tuple(sorted(points[i] for i in members)) for d, members, _ in faces if d == 1
+    )
+    red = poly.reduced
+
+    def tight(u):
+        values = [sum(a * x for a, x in zip(u, p)) for p in red]
+        return frozenset(i for i, v in enumerate(values) if v == min(values))
+
+    facets = [on for d, _, on in faces if d == poly.dim - 1]
+    verts = [v for d, members, _ in faces if d == 0 for v in members]
+    assert {frozenset(map(tight, cone)) for cone in poly.normal_fan()} == {
+        frozenset(on for on in facets if v in on) for v in verts
+    }
+    return faces
+
+
+@settings(max_examples=80, deadline=None)
+@given(_embedded_sets())
+def test_faces_match_the_oracle_face_search(case):
+    points, _ = case
+    _assert_faces_match_the_oracle(points, LatticePolytope(points))
+
+
+def test_fixture_and_prism_faces_match_the_oracle_face_search():
+    seen = set()  # hexagon and 6a are the same points
+    for name in fixture_names():
+        for config in (fixture(name), prism_configuration(fixture(name))):
+            if config.points in seen:
+                continue
+            seen.add(config.points)
+            faces = _assert_faces_match_the_oracle(list(config.points), config.polytope)
+            for k in range(config.dim + 1):
+                want = {sum(1 << i for i in on) for d, _, on in faces if d == k}
+                assert set(config.face_point_masks(k)) == want

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 import regtriang
@@ -103,3 +104,18 @@ def test_every_entry_point_the_tracer_wraps_exists():
                 missing.append(f"{ast.unparse(node.args[0])}.{attr}")
     assert len(wrapped) > 30
     assert missing == []
+
+
+def test_every_benchmark_setup_runs(tmp_path):
+    # set-ups call package methods (face_point_masks, boundary_volume, ...)
+    # that no import names, so the ast guards above cannot see them
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PERFBENCH / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    assert workloads.WORKLOADS
+    for name, workload in workloads.WORKLOADS.items():
+        workdir = tmp_path / name
+        workdir.mkdir()
+        workload(1, str(workdir)).setup()

@@ -1,11 +1,15 @@
+from functools import cache
 from itertools import combinations
 
+import pytest
+
+from oracles import hull_faces
 from regtriang.enumeration import enumerate_regular
 from regtriang.fixtures import fixture
 from regtriang.geometry import PointConfiguration
 from regtriang.linalg import normalized_simplex_volume
 from regtriang.prism import nu_vector, prism_configuration
-from regtriang.triangulation import Triangulation, _mask, engine
+from regtriang.triangulation import Triangulation, _mask, placing_triangulation
 from regtriang.weights import eta_k, hurwitz_vector, massive_gkz
 
 SQUARE = PointConfiguration([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -69,6 +73,15 @@ HEXAGON_HURWITZ = {
 }
 
 
+@cache
+def _oracle_face_masks(points):
+    """{k: point masks of the k-faces} from the oracle's face search."""
+    out = {}
+    for d, _, on in hull_faces(list(points)):
+        out.setdefault(d, []).append(sum(1 << i for i in on))
+    return out
+
+
 def is_massive(config, labels):
     """Reference: the simplex lies in a hull face of its own dimension;
     maximal simplices always do."""
@@ -76,7 +89,7 @@ def is_massive(config, labels):
     if k == config.dim:
         return True
     sm = _mask(labels)
-    return any(sm & fm == sm for fm in config.face_point_masks(k))
+    return any(sm & fm == sm for fm in _oracle_face_masks(config.points).get(k, []))
 
 
 def reference_eta(triangulation, k):
@@ -126,10 +139,21 @@ def test_massiveness_on_the_hexagon():
     assert is_massive(HEXAGON, (1, 2, 3))  # full-dimensional
     # chords between non-adjacent vertices cross the interior
     assert not is_massive(HEXAGON, (2, 4))
-    eng = engine(HEXAGON)
-    for labels in ((1,), (1, 2), (2,), (2, 3), (2, 4)):
-        faces = HEXAGON.face_point_masks(len(labels) - 1)
-        assert eng.massive(_mask(labels), faces) == is_massive(HEXAGON, labels)
+
+
+def reference_vectors(triangulation):
+    """(eta_0..eta_n, massive, hurwitz, nu) from the four reference passes;
+    nu is None off a prism."""
+    cfg = triangulation.config
+    n = cfg.dim
+    etas = [reference_eta(triangulation, k) for k in range(n + 1)]
+    massive = tuple(
+        sum((-1) ** (n - k) * etas[k][i] for k in range(n + 1)) for i in range(len(cfg))
+    )
+    hurwitz = tuple(n * a - b for a, b in zip(etas[n], etas[n - 1]))
+    m = getattr(cfg, "base_size", None)
+    nu = None if m is None else tuple(massive[i] + massive[i + m] for i in range(m))
+    return etas, massive, hurwitz, nu
 
 
 def test_weight_vectors_match_the_four_pass_reference():
@@ -138,19 +162,33 @@ def test_weight_vectors_match_the_four_pass_reference():
     for config in (fixture("square"), fixture("hexagon"), base, prism):
         n = config.dim
         for t in all_regular(config):
-            etas = [reference_eta(t, k) for k in range(n + 1)]
+            etas, massive, hurwitz, nu = reference_vectors(t)
             assert [eta_k(t, k).values for k in range(n + 1)] == etas
-            massive = tuple(
-                sum((-1) ** (n - k) * etas[k][i] for k in range(n + 1))
-                for i in range(len(config))
-            )
             assert massive_gkz(t).values == massive
-            hurwitz = tuple(n * a - b for a, b in zip(etas[n], etas[n - 1]))
             assert hurwitz_vector(t).values == hurwitz
             if config is prism:
-                m = len(base)
-                nu = tuple(massive[i] + massive[i + m] for i in range(m))
                 assert nu_vector(t).values == nu
+
+
+def test_weight_vectors_need_no_label_cells(monkeypatch):
+    # the face walk reads cell masks only
+    prism = prism_configuration(fixture("hexagon"))
+    sample = all_regular(prism_configuration(fixture("4b")))[::50]
+    sample.append(placing_triangulation(prism))
+    expected = [reference_vectors(t) for t in sample]
+
+    def no_cells(self):
+        raise AssertionError("label cells derived")
+
+    monkeypatch.setattr(Triangulation, "cells", property(no_cells))
+    for t, (etas, massive, hurwitz, nu) in zip(sample, expected):
+        t = Triangulation.from_masks(t.config, t.masks)
+        assert [eta_k(t, k).values for k in range(len(etas))] == etas
+        assert massive_gkz(t).values == massive
+        assert hurwitz_vector(t).values == hurwitz
+        assert nu_vector(t).values == nu
+    with pytest.raises(AssertionError, match="label cells"):
+        Triangulation.from_masks(prism, sample[-1].masks).cells
 
 
 def test_veronese_hurwitz_vectors_exactly():
