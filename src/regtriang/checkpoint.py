@@ -64,9 +64,11 @@ class CheckpointState:
     def __init__(self):
         self.config_digest = None
         self.accepted = []  # all v encodings in file order
-        self.frontier = None  # v encodings the last commit closed, None if none committed
+        # the last commit's frontier is accepted[opened:closed], and the
+        # records after it are accepted[closed:]; closed is None if none committed
+        self.opened = 0
+        self.closed = None
         self.level = 0
-        self.post_commit = []  # v encodings after the last commit
         self.done = False
         self.valid_bytes = 0  # extent of intact records, for safe appends
 
@@ -85,8 +87,6 @@ def read_checkpoint(path):
     configuration is left to the caller.
     """
     state = CheckpointState()
-    opened = 0  # index in accepted where the last commit's frontier began
-    closed = None  # index in accepted of the last commit
     with open(path, "rb") as fh:
         first = fh.readline()
         if not first.endswith(b"\n") and (
@@ -120,7 +120,7 @@ def read_checkpoint(path):
                     raise CheckpointCorrupt(
                         f"{path}: commit count {count} != {len(state.accepted)} records"
                     )
-                opened, closed = closed or 0, count
+                state.opened, state.closed = state.closed or 0, count
             elif kind == "done":
                 if _count(path, rec, "count") != len(state.accepted):
                     raise CheckpointCorrupt(f"{path}: done count mismatch")
@@ -129,7 +129,4 @@ def read_checkpoint(path):
                 raise CheckpointCorrupt(f"{path}: unknown record type {kind!r}")
     if not state.valid_bytes:
         raise CheckpointCorrupt(f"{path}: no complete records")
-    if closed is not None:
-        state.frontier = state.accepted[opened:closed]
-    state.post_commit = state.accepted[closed or 0:]
     return state

@@ -121,16 +121,20 @@ def enumerate_regular(
                 f"checkpoint is for configuration {state.config_digest}, "
                 f"not {config.digest()}"
             )
-        if state.frontier is None:
+        if state.closed is None:
             state = None  # killed before its first commit: start afresh
     if state is not None:
-        for enc in state.accepted:  # no writer yet, so nothing is recorded again
-            accept(_record_masks(config, enc, checkpoint_path), enc)
+        tail = []  # masks of the records from the last commit's frontier on
+        for k, enc in enumerate(state.accepted):  # no writer yet, so nothing is recorded again
+            masks = _record_masks(config, enc, checkpoint_path)
+            accept(masks, enc)
+            if k >= state.opened:
+                tail.append(masks)
         if state.done:
             return EnumerationResult(count, True, encodings)
-        frontier = [_record_masks(config, enc, checkpoint_path) for enc in state.frontier]
-        frontier = [tuple(map(eng.cell_masks.setdefault, m, m)) for m in frontier]
-        partial = {_digest(_record_masks(config, e, checkpoint_path)) for e in state.post_commit}
+        split = state.closed - state.opened
+        frontier = [tuple(map(eng.cell_masks.setdefault, m, m)) for m in tail[:split]]
+        partial = {_digest(m) for m in tail[split:]}
         level = state.level
         writer = CheckpointWriter(
             checkpoint_path, append=True, valid_bytes=state.valid_bytes

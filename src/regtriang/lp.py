@@ -119,20 +119,17 @@ def _equality_rows(cols, b):
     """Rows of {sum_j x_j cols[j] = b} in integers with b >= 0.
 
     Each row is scaled to integers and negated when its right-hand side
-    is negative. Returns (rows, rhs, mult), row i being mult[i] times the
-    original one.
+    is negative. Returns (rows, rhs).
     """
     n = len(cols)
-    rows, rhs, mult = [], [], []
+    rows, rhs = [], []
     for i, bi in enumerate(b):
-        scaled, s = scale_to_integers([col[i] for col in cols] + [bi])
+        scaled, _ = scale_to_integers([col[i] for col in cols] + [bi])
         if scaled[n] < 0:
             scaled = [-v for v in scaled]
-            s = -s
         rows.append(list(scaled[:n]))
         rhs.append(scaled[n])
-        mult.append(s)
-    return rows, rhs, mult
+    return rows, rhs
 
 
 def _phase1(rows, rhs, n):
@@ -157,30 +154,14 @@ def _phase1(rows, rhs, n):
     return tab
 
 
-def eq_phase1(cols, b, *, tableau=False):
-    """Feasibility of {sum_j x_j * cols[j] = b, x >= 0}.
+def eq_phase1(cols, b):
+    """The optimal phase-1 tableau of {sum_j x_j * cols[j] = b, x >= 0}.
 
-    Returns (feasible, x, y): when feasible, x is one solution (list of
-    Fractions per column); when infeasible, y is a Farkas certificate with
-    y.col_j >= 0 for every column and y.b < 0.
-
-    With tableau=True the data must be integers with b >= 0; they are
-    used as given and the optimal phase-1 tableau is returned instead, for
-    a caller that reads its certificate in integers (see _phase1).
+    The data must be integers with b >= 0 and are used as given; the
+    system is feasible iff t[0][-1] == 0, and the caller reads its
+    certificate in integers (see _phase1).
     """
-    n = len(cols)
-    if tableau:
-        return _phase1([[col[i] for col in cols] for i in range(len(b))], list(b), n)
-    rows, rhs, mult = _equality_rows(cols, b)
-    tab = _phase1(rows, rhs, n)
-    if tab.t[0][-1] == 0:
-        return True, tab.solution(n), None
-    # the artificial reduced costs give y' with y'.row_j >= 0 and y'.rhs < 0
-    # on the scaled rows; y = mult * y' carries that back to the input rows
-    den = tab.den
-    t0 = tab.t[0]
-    y = [Fraction(-s * (den + t0[n + i]), den) for i, s in enumerate(mult)]
-    return False, None, y
+    return _phase1([[col[i] for col in cols] for i in range(len(b))], list(b), len(cols))
 
 
 def max_eq_lp(c, cols, b):
@@ -192,7 +173,7 @@ def max_eq_lp(c, cols, b):
     m = len(b)
     n = len(cols)
     c, c_scale = scale_to_integers([Fraction(x) for x in c])
-    rows, rhs, _ = _equality_rows(cols, b)
+    rows, rhs = _equality_rows(cols, b)
     tab = _phase1(rows, rhs, n)
     if tab.t[0][-1] != 0:
         return "infeasible", None, None
@@ -234,22 +215,6 @@ def max_eq_lp(c, cols, b):
     return "optimal", tab.solution(n), tab.objective_value() / c_scale
 
 
-def in_hull(point, generators):
-    """Exact membership of point in conv(generators).
-
-    Returns (inside, coeffs_or_certificate): coefficients of a convex
-    combination when inside, otherwise a separating functional y with
-    y.(g,1) >= 0 for all generators and y.(point,1) < 0.
-    """
-    if not generators:
-        return False, None
-    cols = [list(g) + [1] for g in generators]
-    feasible, x, y = eq_phase1(cols, list(point) + [1])
-    if feasible:
-        return True, x
-    return False, y
-
-
 def strict_feasible(rows):
     """Decide whether some g satisfies row.g > 0 for every row (g free).
 
@@ -266,7 +231,7 @@ def strict_feasible(rows):
         raise ValueError("no rows")
     k = len(rows)
     m = len(rows[0])
-    tab = eq_phase1([list(r) + [1] for r in rows], [0] * m + [1], tableau=True)
+    tab = eq_phase1([list(r) + [1] for r in rows], [0] * m + [1])
     den = tab.den
     t0 = tab.t[0]
     if den <= 0:

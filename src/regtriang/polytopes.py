@@ -12,7 +12,6 @@ from .enumeration import enumerate_regular
 from .errors import NonconstantSum
 from .geometry import LatticePolytope, normally_equivalent
 from .linalg import primitive_direction
-from .lp import in_hull
 from .prism import nu_vector, prism_configuration
 from .triangulation import Triangulation
 from .weights import eta_k, hurwitz_vector
@@ -133,8 +132,8 @@ def _vertex_set(polytope_or_points):
 
 def inclusion(inner, outer):
     """Whether conv(inner) is a subset of conv(outer), decided exactly."""
-    outer_pts = list(_vertex_set(outer))
-    return all(in_hull(v, outer_pts)[0] for v in _vertex_set(inner))
+    outer_poly = LatticePolytope(_vertex_set(outer))
+    return all(outer_poly.contains(v) for v in _vertex_set(inner))
 
 
 def relative_interior_contains(polytope, vector):

@@ -5,6 +5,11 @@ label i); the sorted-label view and its string encoding are derived on
 first use. A per-configuration engine caches simplex volumes,
 affine dependences and containment tests, since enumeration revisits the
 same small sets constantly.
+
+Fold rows and flips read one circuit list per triangulation,
+`Engine.circuits`: the circuit of the two cells across each interior
+wall, and of each unused point with the cell that holds it. Each is a
+wall inequality of the secondary cone, and each may support a flip.
 """
 
 import weakref
@@ -59,21 +64,22 @@ def _mask(labels):
 class Circuit:
     """A minimal affine dependence, split into its two sign classes.
 
-    `plus` is the side containing the smallest label of the support.
+    `plus` and `minus` are point masks (bit i-1 = label i), and `support`
+    is their union; `plus` holds the smallest label of the support.
     Coefficients are the primitive integer dependence values, keyed by
     label, positive on `plus` and negative on `minus`.
     """
 
-    plus: tuple
-    minus: tuple
+    plus: int
+    minus: int
     coeffs: tuple  # ((label, coeff), ...) sorted by label
 
     @property
     def support(self):
-        return tuple(sorted(self.plus + self.minus))
+        return self.plus | self.minus
 
     def __repr__(self):
-        return f"Circuit(+{list(self.plus)}, -{list(self.minus)})"
+        return f"Circuit(+{list(_labels(self.plus))}, -{list(_labels(self.minus))})"
 
 
 class Triangulation:
@@ -212,8 +218,8 @@ class Engine:
         support = [(l, c) for l, c in zip(labels, dep) if c != 0]
         if support[0][1] < 0:
             support = [(l, -c) for l, c in support]
-        plus = tuple(l for l, c in support if c > 0)
-        minus = tuple(l for l, c in support if c < 0)
+        plus = _mask(l for l, c in support if c > 0)
+        minus = _mask(l for l, c in support if c < 0)
         circ = self._circuits.get((plus, minus))
         if circ is None:
             circ = Circuit(plus=plus, minus=minus, coeffs=tuple(support))
@@ -275,10 +281,18 @@ class Engine:
         fixed = {l - 1 for l in self.frame}
         return tuple(i for i in range(self.m) if i not in fixed)
 
-    def walls_and_hosts(self, masks):
-        """(walls, hosts) of the cells: each wall's owner cells, in the order
-        met, and for each unused point (by bit index, ascending) the first
-        cell in mask order that holds it, or None."""
+    def circuits(self, masks):
+        """The cells' circuits, as (circuit, apex label) pairs.
+
+        One per interior wall, in the order the cells meet it: the circuit
+        of its two cells, apex the first cell's point off the wall. Then
+        one per unused point, ascending: the circuit of the point and the
+        first cell that holds it, apex the point. (Cells meeting face to
+        face give every cell holding the point the same circuit.) Raises
+        CheckFailed when the cells do not fold like a triangulation (a
+        wall in more than two cells, apexes off the circuit or on one side
+        of their wall, or a point outside every cell).
+        """
         walls = {}
         used = 0
         for cm in masks:
@@ -288,57 +302,44 @@ class Engine:
                 low = mm & (-mm)
                 walls.setdefault(cm ^ low, []).append(cm)
                 mm ^= low
-        ordered = sorted(masks)
-        hosts = [
-            (i, next((cm for cm in ordered if self.cell_contains(cm, i + 1)), None))
-            for i in bit_indices(self.full_mask & ~used)
-        ]
-        return walls, hosts
-
-    def fold_rows(self, masks):
-        """Integer rows r with r.g > 0 for all rows iff heights g induce T.
-
-        One row per interior wall (local convexity of the fold) and one
-        per unused point (lift strictly above its containing cell). Each
-        row is an affine dependence of the points, given without the
-        frame's columns. Raises CheckFailed when the cells do not fold
-        like a triangulation (a wall in more than two cells, or an apex
-        whose dependence coefficient vanishes).
-        """
-        rows = []
-        walls, hosts = self.walls_and_hosts(masks)
+        out = []
         for wall, owners in walls.items():
             if len(owners) == 1:
                 continue
             if len(owners) != 2:
                 raise CheckFailed("wall shared by more than two cells")
-            smask = owners[0] | owners[1]
-            circ = self.circuit_of(smask)
+            circ = self.circuit_of(owners[0] | owners[1])
             if circ is None:
                 raise CheckFailed("two cells across a wall hold no circuit")
-            coeffs = dict(circ.coeffs)
-            # each owner is the wall plus one apex bit; its label is the bit length
-            apex = (owners[0] & ~wall).bit_length()
-            ca = coeffs.get(apex, 0)
-            if ca == 0:
+            apex, other = owners[0] & ~wall, owners[1] & ~wall
+            if not apex & circ.support:
                 raise CheckFailed("apex off the wall circuit in a valid triangulation")
+            # opposite sides of the wall are one sign class of its circuit
+            if not other & (circ.plus if apex & circ.plus else circ.minus):
+                raise CheckFailed("apexes fold to the same side")
+            out.append((circ, apex.bit_length()))
+        for i in bit_indices(self.full_mask & ~used):
+            host = next((cm for cm in masks if self.cell_contains(cm, i + 1)), None)
+            if host is None:
+                raise CheckFailed("unused point outside every cell")
+            out.append((self.circuit_of(host | (1 << i)), i + 1))
+        return out
+
+    def fold_rows(self, masks):
+        """Integer rows r with r.g > 0 for all rows iff heights g induce T.
+
+        One row per circuit of the cells (see circuits), signed positive
+        at its apex: local convexity of the fold across an interior wall,
+        or an unused point lifted strictly above its cell. Each row is an
+        affine dependence of the points, given without the frame's
+        columns. Raises CheckFailed as circuits does.
+        """
+        rows = []
+        for circ, apex in self.circuits(masks):
+            sign = 1 if circ.plus & (1 << (apex - 1)) else -1
             row = [0] * self.m
-            sign = 1 if ca > 0 else -1
             for l, c in circ.coeffs:
                 row[l - 1] = sign * c
-            other_apex = (owners[1] & ~wall).bit_length()
-            if row[other_apex - 1] <= 0:
-                raise CheckFailed("apexes fold to the same side")
-            rows.append(row)
-        for i, cm in hosts:
-            if cm is None:
-                raise CheckFailed("unused point outside every cell")
-            coords = self.barycentric_in(cm, i + 1)
-            den = lcm(*(c.denominator for c in coords)) if coords else 1
-            row = [0] * self.m
-            row[i] = den
-            for l, c in zip(_labels(cm), coords):
-                row[l - 1] -= int(c * den)
             rows.append(row)
         free = self._free_columns
         return [[row[i] for i in free] for row in rows]
@@ -470,44 +471,24 @@ def placing_triangulation(config, order=None):
 
 def supported_flips(triangulation):
     """All circuits currently supporting a flip, in canonical order."""
-    eng = engine(triangulation.config)
-    out = []
-    seen = set()
-    for circ in _candidate_circuits(eng, triangulation.masks):
-        if circ.support in seen:
-            continue
-        seen.add(circ.support)
-        if _present_side(triangulation.masks, circ) is not None:
-            out.append(circ)
-    return sorted(out, key=lambda c: c.support)
-
-
-def _candidate_circuits(eng, masks):
-    walls, hosts = eng.walls_and_hosts(masks)
-    for owners in walls.values():
-        if len(owners) == 2:
-            circ = eng.circuit_of(owners[0] | owners[1])
-            if circ is not None:
-                yield circ
-    for i, cm in hosts:
-        if cm is not None:
-            circ = eng.circuit_of(cm | (1 << i))
-            if circ is not None:
-                yield circ
+    masks = triangulation.masks
+    circuits = {c.support: c for c, _ in engine(triangulation.config).circuits(masks)}
+    out = [c for c in circuits.values() if _present_side(masks, c) is not None]
+    return sorted(out, key=lambda c: _labels(c.support))
 
 
 def _present_side(masks, circ):
-    """The side of the circuit present in T as (smask, taus, link, new), or None.
+    """The side of the circuit present in T as (taus, link, new), or None.
 
-    T holds every cell tau | lam, for tau the support minus one label of
+    T holds every cell tau | lam, for tau the support minus one point of
     one side and lam in the link; the flip replaces them by the cells
-    made with the labels of the other side, `new`. The plus side (cells
-    using all of circ.plus) is tried first.
+    made with the points of the other side, `new` (a mask). The plus
+    side (cells using all of circ.plus) is tried first.
     """
-    smask = _mask(circ.support)
+    smask = circ.support
     cellset = set(masks)
     for old, new in ((circ.minus, circ.plus), (circ.plus, circ.minus)):
-        taus = [smask & ~(1 << (z - 1)) for z in old]
+        taus = [smask ^ (1 << i) for i in bit_indices(old)]
         tau0 = taus[0]
         link = [c & ~tau0 for c in masks if c & tau0 == tau0]
         if link and all(
@@ -515,7 +496,7 @@ def _present_side(masks, circ):
             and all(tau | lam in cellset for lam in link)
             for tau in taus
         ):
-            return smask, taus, link, new
+            return taus, link, new
     return None
 
 
@@ -525,10 +506,10 @@ def flip(triangulation, circuit):
     side = _present_side(triangulation.masks, circuit)
     if side is None:
         raise UnsupportedFlip(f"{circuit} is not supported")
-    smask, taus, link, new = side
+    taus, link, new = side
     old_cells = {tau | lam for tau in taus for lam in link}
     result = [c for c in triangulation.masks if c not in old_cells]
     # no link mask meets the support, so the new cells are distinct
-    new_cells = [(smask & ~(1 << (z - 1))) | lam for z in new for lam in link]
+    new_cells = [(circuit.support ^ (1 << i)) | lam for i in bit_indices(new) for lam in link]
     result.extend(eng.cell_masks.setdefault(c, c) for c in new_cells)
     return Triangulation.from_masks(triangulation.config, result)

@@ -12,6 +12,10 @@
 - hull_faces: every face of the brute-force hull, by a search over
   vertex sets grown one vertex at a time, each closed to the vertices on
   every facet through all of its own.
+- fold_rows: the regularity rows of a triangulation, one per interior
+  wall (the kernel of its two cells, positive at the first cell's apex)
+  and one per unused point (den e_i minus den times its barycentric
+  coordinates in the first cell holding it).
 
 Everything is exact rational arithmetic and nothing here shares logic
 with the library.
@@ -19,6 +23,7 @@ with the library.
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
 
 def _cross(o, a, b):
@@ -301,3 +306,61 @@ def placing_cells(points, order):
         placed.append(i)
         cells = new
     return sorted(cells)
+
+
+def _solve(columns, rhs):
+    """The x with sum_j x_j columns[j] = rhs, for independent columns, or
+    None when there is none."""
+    echelon = _reduce([list(row) + [b] for row, b in zip(zip(*columns), rhs)])
+    if any(not any(row[:-1]) for row in echelon):
+        return None
+    return [row[-1] for row in echelon]
+
+
+def fold_rows(points, masks):
+    """Full-column fold rows of the cells (bit i = points[i]) of a
+    triangulation: walls in the order the cells, in the given order, meet
+    them (lowest bit first), then unused points ascending, each hosted by
+    the first cell in sorted mask order that holds it."""
+    lifted = [list(p) + [1] for p in points]
+    walls = {}
+    used = 0
+    for c in masks:
+        used |= c
+        for v in range(c.bit_length()):
+            if c >> v & 1:
+                walls.setdefault(c & ~(1 << v), []).append(c)
+    rows = []
+    for wall, owners in walls.items():
+        if len(owners) != 2:
+            continue
+        idx = [i for i in range(len(points)) if (owners[0] | owners[1]) >> i & 1]
+        apex = (owners[0] & ~wall).bit_length() - 1
+        # one kernel vector of the lifted columns: 1 at the apex, the rest solved
+        rest = [i for i in idx if i != apex]
+        coeffs = dict(zip(rest, _solve([lifted[i] for i in rest], [-a for a in lifted[apex]])))
+        coeffs[apex] = Fraction(1)
+        den = lcm(*(c.denominator for c in coeffs.values()))
+        ints = {i: int(c * den) for i, c in coeffs.items()}
+        g = gcd(*ints.values())
+        row = [0] * len(points)
+        for i, c in ints.items():
+            row[i] = c // g
+        rows.append(row)
+    for i in range(len(points)):
+        if used >> i & 1:
+            continue
+        for c in sorted(masks):
+            cell = [j for j in range(len(points)) if c >> j & 1]
+            coords = _solve([lifted[j] for j in cell], lifted[i])
+            if coords is not None and all(x >= 0 for x in coords):
+                break
+        else:
+            raise ValueError(f"point {i} is outside every cell")
+        den = lcm(*(x.denominator for x in coords))
+        row = [0] * len(points)
+        row[i] = den
+        for j, x in zip(cell, coords):
+            row[j] -= int(x * den)
+        rows.append(row)
+    return rows

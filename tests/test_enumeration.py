@@ -234,8 +234,8 @@ def test_commits_hold_no_frontier(tmp_path):
     assert all(set(rec) == {"t", "level", "count"} for rec in commits)
     # the frontier is what the level closed by the last commit accepted
     state = read_checkpoint(path)
-    assert state.frontier == state.accepted[commits[-2]["count"]:]
-    assert state.post_commit == []
+    assert state.opened == commits[-2]["count"]
+    assert state.closed == len(state.accepted)
     assert state.level == commits[-1]["level"]
 
 

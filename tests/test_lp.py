@@ -6,7 +6,7 @@ import pytest
 
 from regtriang import lp
 from regtriang.errors import CheckFailed
-from regtriang.lp import eq_phase1, in_hull, max_lp, strict_feasible
+from regtriang.lp import eq_phase1, max_lp, strict_feasible
 
 
 def test_max_lp_simple():
@@ -48,18 +48,9 @@ def test_max_lp_degenerate_terminates():
 def test_eq_phase1_feasible():
     # x1 + x2 = 2, x1 - x2 = 0 -> x = (1, 1)
     cols = [[1, 1], [1, -1]]
-    feasible, x, _ = eq_phase1(cols, [2, 0])
-    assert feasible
-    assert x == [1, 1]
-
-
-def test_eq_phase1_infeasible_certificate():
-    # x1 = -1 with x1 >= 0 is infeasible
-    cols = [[1]]
-    feasible, _, y = eq_phase1(cols, [-1])
-    assert not feasible
-    assert y[0] * 1 >= 0
-    assert y[0] * -1 < 0
+    tab = eq_phase1(cols, [2, 0])
+    assert tab.t[0][-1] == 0
+    assert tab.solution(2) == [1, 1]
 
 
 def test_eq_phase1_random_roundtrip():
@@ -70,43 +61,16 @@ def test_eq_phase1_random_roundtrip():
         cols = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(n)]
         xs = [rng.randint(0, 3) for _ in range(n)]
         b = [sum(cols[j][i] * xs[j] for j in range(n)) for i in range(m)]
-        feasible, x, _ = eq_phase1(cols, b)
-        assert feasible  # constructed to be feasible
+        # negate the rows whose right-hand side is negative
+        signs = [-1 if bi < 0 else 1 for bi in b]
+        cols = [[s * c for s, c in zip(signs, col)] for col in cols]
+        b = [s * bi for s, bi in zip(signs, b)]
+        tab = eq_phase1(cols, b)
+        assert tab.t[0][-1] == 0  # constructed to be feasible
+        x = tab.solution(n)
+        assert all(v >= 0 for v in x)
         for i in range(m):
             assert sum(cols[j][i] * x[j] for j in range(n)) == b[i]
-    # and verify certificates on infeasible instances
-    for _ in range(80):
-        m = rng.randint(1, 4)
-        n = rng.randint(1, 6)
-        cols = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(n)]
-        b = [rng.randint(-5, 5) for _ in range(m)]
-        feasible, x, y = eq_phase1(cols, b)
-        if feasible:
-            for i in range(m):
-                assert sum(cols[j][i] * x[j] for j in range(n)) == b[i]
-        else:
-            for j in range(n):
-                assert sum(y[i] * cols[j][i] for i in range(m)) >= 0
-            assert sum(y[i] * b[i] for i in range(m)) < 0
-
-
-def test_in_hull_square():
-    gens = [(0, 0), (1, 0), (1, 1), (0, 1)]
-    inside, coeffs = in_hull((Fraction(1, 2), Fraction(1, 2)), gens)
-    assert inside
-    assert sum(coeffs) == 1
-    inside, y = in_hull((2, 0), gens)
-    assert not inside
-    # separating functional
-    assert sum(y[i] * v for i, v in enumerate((2, 0))) + y[2] < 0
-
-
-def test_in_hull_boundary():
-    gens = [(0, 0), (2, 0), (0, 2)]
-    inside, _ = in_hull((1, 0), gens)
-    assert inside
-    inside, _ = in_hull((1, 1), gens)
-    assert inside  # on the diagonal edge
 
 
 def test_strict_feasible_simple():
@@ -152,8 +116,8 @@ def test_strict_feasible_checks_the_farkas_certificate(monkeypatch):
     # a tableau whose first height numerator reads -den fails the row check
     real = lp.eq_phase1
 
-    def skewed(cols, b, tableau=False):
-        tab = real(cols, b, tableau=tableau)
+    def skewed(cols, b):
+        tab = real(cols, b)
         tab.t[0][len(cols)] = 0
         return tab
 
@@ -173,16 +137,3 @@ def test_strict_feasible_checks_the_dual_certificate(monkeypatch, shift):
     monkeypatch.setattr(lp._Tableau, "numerators", skewed)
     with pytest.raises(CheckFailed):
         strict_feasible([[1], [-1]])
-
-
-def test_eq_phase1_certificate_on_fractional_rows():
-    # rows are scaled to integers before the solve; the certificate must
-    # still separate the data as given
-    half, quarter = Fraction(1, 2), Fraction(1, 4)
-    cols = [[4, 3 * half, -2], [-1, 3 * half, 2], [-1, -quarter, 0]]
-    b = [3 * half, -2, Fraction(-2, 3)]
-    feasible, _, y = eq_phase1(cols, b)
-    assert not feasible
-    for col in cols:
-        assert sum(yi * c for yi, c in zip(y, col)) >= 0
-    assert sum(yi * bi for yi, bi in zip(y, b)) < 0

@@ -149,6 +149,15 @@ def test_inclusion_is_reflexive_and_proper():
     assert inclusion(hur, hur)
 
 
+def test_inclusion_of_interior_boundary_and_outside_points():
+    square = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    assert inclusion([(Fraction(1, 2), Fraction(1, 2))], square)
+    assert not inclusion([(2, 0)], square)
+    triangle = [(0, 0), (2, 0), (0, 2)]
+    assert inclusion([(1, 0), (1, 1)], triangle)  # (1, 1) is on the diagonal edge
+    assert not inclusion([(1, 1), (Fraction(3, 2), 1)], triangle)
+
+
 def test_square_chow_and_hurwitz_edges_are_parallel():
     chow = secondary_polytope(SQUARE)
     hur = hurwitz_candidate_polytope(SQUARE)

@@ -6,6 +6,10 @@ import importlib.util
 from pathlib import Path
 
 import regtriang
+from regtriang.enumeration import enumerate_regular
+from regtriang.fixtures import fixture
+from regtriang.geometry import PointConfiguration
+from regtriang.triangulation import engine
 
 SRC = Path(regtriang.__file__).parent
 
@@ -106,16 +110,28 @@ def test_every_entry_point_the_tracer_wraps_exists():
     assert missing == []
 
 
+def _perfbench_module(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_every_benchmark_setup_runs(tmp_path):
     # set-ups call package methods (face_point_masks, boundary_volume, ...)
     # that no import names, so the ast guards above cannot see them
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", PERFBENCH / "workloads.py"
-    )
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = _perfbench_module("workloads")
     assert workloads.WORKLOADS
     for name, workload in workloads.WORKLOADS.items():
         workdir = tmp_path / name
         workdir.mkdir()
         workload(1, str(workdir)).setup()
+
+
+def test_tracer_reads_the_engine_caches():
+    # the traced benchmark counts cache entries by the engine's attribute
+    # names, which neither the ast guards nor an untraced run read
+    layertrace = _perfbench_module("layertrace")
+    config = PointConfiguration(fixture("hexagon").points)
+    assert enumerate_regular(config).count == 32
+    assert layertrace.engine_cache_entries([engine(config)]) > 0

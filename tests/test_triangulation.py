@@ -8,6 +8,7 @@ import pytest
 
 from regtriang.enumeration import enumerate_regular
 from regtriang.errors import (
+    CheckFailed,
     DegenerateSimplex,
     OverlapNotFace,
     UnsupportedFlip,
@@ -32,7 +33,7 @@ from regtriang.triangulation import (
     supported_flips,
 )
 
-from oracles import placing_cells
+from oracles import fold_rows, placing_cells
 
 SQUARE = PointConfiguration([(0, 0), (1, 0), (1, 1), (0, 1)])
 
@@ -118,7 +119,7 @@ def test_square_flip_is_the_diagonal_circuit():
     flips = supported_flips(t1)
     assert len(flips) == 1
     c = flips[0]
-    assert c.plus == (1, 3) and c.minus == (2, 4)
+    assert c.plus == 0b0101 and c.minus == 0b1010
     t2 = flip(t1, c)
     assert t2.encode() == "1,2,4;2,3,4"
     assert flip(t2, c) == t1  # involution
@@ -128,7 +129,7 @@ def test_insertion_flip_pulls_in_the_center():
     t1 = Triangulation(CENTER_SQUARE, [(1, 2, 3), (1, 3, 4)])
     assert reduce(or_, t1.masks) == 0b01111
     flips = supported_flips(t1)
-    assert [(c.plus, c.minus) for c in flips] == [((1, 3), (2, 4)), ((1, 3), (5,))]
+    assert [(c.plus, c.minus) for c in flips] == [(0b00101, 0b01010), (0b00101, 0b10000)]
     star = flip(t1, flips[1])
     assert star.encode() == "1,2,5;1,4,5;2,3,5;3,4,5"
     assert star.validate()
@@ -143,6 +144,18 @@ def test_unsupported_flip_raises():
     )[1]
     with pytest.raises(UnsupportedFlip):
         flip(t2, insertion)
+
+
+def test_cells_sharing_a_wall_three_ways_have_no_circuit_list():
+    # flips and fold rows read one circuit list, and neither takes a wall
+    # that more than two cells share
+    hexagon = fixture("hexagon")
+    t = Triangulation(hexagon, [(1, 2, 3), (1, 2, 4), (1, 2, 7)])
+    assert all(engine(hexagon).volume(m) for m in t.masks)
+    with pytest.raises(CheckFailed, match="more than two cells"):
+        supported_flips(t)
+    with pytest.raises(CheckFailed, match="more than two cells"):
+        engine(hexagon).fold_rows(t.masks)
 
 
 def test_placing_square_is_deterministic():
@@ -265,6 +278,7 @@ def test_fold_rows_are_affine_dependences_and_heights_rebuild(config):
     for enc in enumerate_regular(config, collect=True).encodings:
         t = Triangulation.decode(config, enc)
         rows = full.fold_rows(t.masks)
+        assert rows == fold_rows(config.points, t.masks)
         assert [[row[j] for j in kept] for row in rows] == eng.fold_rows(t.masks)
         for row in rows:
             assert sum(row) == 0
