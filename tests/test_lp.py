@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 
 from regtriang import lp
 from regtriang.errors import CheckFailed
-from regtriang.lp import eq_phase1, max_lp, strict_feasible
+from regtriang.lp import eq_phase1, max_eq_lp, max_lp, strict_feasible
 
 
 def test_max_lp_simple():
@@ -71,6 +72,50 @@ def test_eq_phase1_random_roundtrip():
         assert all(v >= 0 for v in x)
         for i in range(m):
             assert sum(cols[j][i] * x[j] for j in range(n)) == b[i]
+
+
+
+def _in_hull(point, generators):
+    """Membership of point in conv(generators) as the LP {sum x_j (g_j, 1)
+    = (point, 1), x >= 0}; returns the convex coefficients or None."""
+    cols = [list(g) + [1] for g in generators]
+    status, x, _ = max_eq_lp([0] * len(cols), cols, list(point) + [1])
+    return x if status == "optimal" else None
+
+
+def _separates(point, generators):
+    """A functional y with y.(g, 1) > 0 on every generator and
+    y.(point, 1) < 0, found by strict_feasible, or None. The point's row
+    is scaled by its common denominator: strict_feasible takes integers."""
+    q = lcm(*(Fraction(v).denominator for v in point))
+    rows = [list(g) + [1] for g in generators] + [[-int(q * v) for v in point] + [-q]]
+    ok, y, margin = strict_feasible(rows)
+    return y if ok else None
+
+
+def test_in_hull_square():
+    gens = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    point = (Fraction(1, 2), Fraction(1, 2))
+    coeffs = _in_hull(point, gens)
+    assert coeffs is not None
+    assert sum(coeffs) == 1 and all(c >= 0 for c in coeffs)
+    assert all(sum(c * g[i] for c, g in zip(coeffs, gens)) == point[i] for i in range(2))
+    assert _separates(point, gens) is None
+    assert _in_hull((2, 0), gens) is None
+    y = _separates((2, 0), gens)
+    assert y is not None
+    # separating functional
+    assert sum(y[i] * v for i, v in enumerate((2, 0))) + y[2] < 0
+    assert all(sum(y[i] * v for i, v in enumerate(g)) + y[2] > 0 for g in gens)
+
+
+def test_in_hull_boundary():
+    gens = [(0, 0), (2, 0), (0, 2)]
+    assert _in_hull((1, 0), gens) is not None
+    assert _in_hull((1, 1), gens) is not None  # on the diagonal edge
+    # a boundary point admits no strict separation
+    assert _separates((1, 1), gens) is None
+    assert _in_hull((Fraction(3, 2), 1), gens) is None
 
 
 def test_strict_feasible_simple():
