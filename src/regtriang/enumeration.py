@@ -18,7 +18,15 @@ from hashlib import blake2b
 from os import path as os_path
 
 from .checkpoint import CheckpointWriter, read_checkpoint
-from .errors import BudgetExceeded, CheckFailed, CheckpointCorrupt, DigestMismatch
+from .errors import (
+    BudgetExceeded,
+    CheckFailed,
+    CheckpointCorrupt,
+    DegenerateSimplex,
+    DigestMismatch,
+    OverlapNotFace,
+    VolumeMismatch,
+)
 from .geometry import PointConfiguration
 from .triangulation import Triangulation, engine, flip, placing_triangulation, supported_flips
 
@@ -55,22 +63,15 @@ def _decide(masks):
 
 def _record_masks(config, enc, path):
     """Cell masks of a checkpointed encoding, which must be the canonical
-    encoding of cells of d+1 distinct labels in 1..N whose volumes are
-    positive and fill the hull."""
+    encoding of a triangulation (Triangulation.validate, which solves no
+    LP). Its regularity is trusted, not certified again."""
     try:
         t = Triangulation.decode(config, enc) if isinstance(enc, str) else None
-    except ValueError:
-        t = None
-    eng = engine(config)
-    if (
-        t is None
-        or t.encode() != enc
-        or not all(m >> len(config) == 0 and m.bit_count() == config.dim + 1 for m in t.masks)
-        or not all(eng.volume(m) > 0 for m in t.masks)
-        or sum(map(eng.volume, t.masks)) != eng.hull_volume
-    ):
-        raise CheckpointCorrupt(f"{path}: {enc!r} is not a triangulation encoding")
-    return t.masks
+        if t is not None and t.encode() == enc and t.validate():
+            return t.masks
+    except (ValueError, DegenerateSimplex, VolumeMismatch, OverlapNotFace):
+        pass
+    raise CheckpointCorrupt(f"{path}: {enc!r} is not a triangulation encoding")
 
 
 def enumerate_regular(

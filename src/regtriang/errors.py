@@ -18,7 +18,7 @@ class VolumeMismatch(RegtriangError):
 
 
 class OverlapNotFace(RegtriangError):
-    """Two cells intersect in something other than a common face."""
+    """Cells repeat, or meet in something other than a common face."""
 
 
 class UnsupportedFlip(RegtriangError):

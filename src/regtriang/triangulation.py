@@ -15,8 +15,9 @@ wall inequality of the secondary cone, and each may support a flip.
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from math import lcm
+from operator import or_
 
 from .errors import (
     CheckFailed,
@@ -33,6 +34,8 @@ from .linalg import (
     rank_int,
     scale_to_integers,
 )
+# max_eq_lp is not called here, but perfbench/layertrace.py looks it up as
+# `triangulation.max_eq_lp` to count the K-energy LPs, so the name stays
 from .lp import max_eq_lp, max_lp, strict_feasible
 
 
@@ -124,29 +127,55 @@ class Triangulation:
         return cls(config, [map(int, part.split(",")) for part in text.split(";")])
 
     def validate(self):
-        """Check the cells triangulate the hull; raise a specific error."""
+        """Check the cells triangulate the hull; raise a specific error.
+
+        The cells must be (n+1)-subsets of the labels with positive
+        volume (else DegenerateSimplex) whose volumes sum to the hull's
+        (else VolumeMismatch). No cell may repeat, every wall held by one
+        cell must lie in a facet of the hull, every wall held by two must
+        have them on opposite sides, and none may be held by three or more
+        (else OverlapNotFace). This pseudo-manifold property makes the
+        cells cover the hull a constant number of times, and the volume
+        makes that number one (De Loera-Rambau-Santos, *Triangulations*,
+        ch. 4). No LP is solved.
+        """
         eng = engine(self.config)
-        n = self.config.dim
         total = 0
         for mask in self.masks:
-            cell = _labels(mask)
-            if len(cell) != n + 1:
-                raise DegenerateSimplex(f"cell {cell} is not an (n+1)-subset")
-            if cell[-1] > len(self.config):
-                raise DegenerateSimplex(f"cell {cell} has labels out of range")
+            if mask >> eng.m or mask.bit_count() != eng.n + 1:
+                raise DegenerateSimplex(f"cell {_labels(mask)} is not an (n+1)-subset of 1..N")
             v = eng.volume(mask)
             if v == 0:
-                raise DegenerateSimplex(f"cell {cell} has volume 0")
+                raise DegenerateSimplex(f"cell {_labels(mask)} has volume 0")
             total += v
-        hull_vol = eng.hull_volume
-        if total != hull_vol:
-            raise VolumeMismatch(f"cells fill {total}, hull has {hull_vol}")
-        for i in range(len(self.masks)):
-            for j in range(i + 1, len(self.masks)):
-                a, b = self.masks[i], self.masks[j]
-                if not eng.meet_in_common_face(a, b):
-                    raise OverlapNotFace(f"cells {_labels(a)} and {_labels(b)} overlap badly")
+        if total != eng.hull_volume:
+            raise VolumeMismatch(f"cells fill {total}, hull has {eng.hull_volume}")
+        if len(set(self.masks)) != len(self.masks):
+            raise OverlapNotFace("a cell appears twice")
+        walls = _walls(self.masks)
+        inside = [wall for wall, owners in walls.items() if len(owners) == 1]
+        for facet in self.config.face_point_masks(eng.n - 1):
+            inside = [wall for wall in inside if wall & ~facet]
+        if inside:
+            raise OverlapNotFace(f"wall {_labels(inside[0])} of one cell is inside the hull")
+        try:
+            eng.wall_circuits(walls)
+        except CheckFailed as exc:
+            raise OverlapNotFace(str(exc)) from None
         return True
+
+
+def _walls(masks):
+    """Each wall of the cells (a cell minus one point), mapped to the cells
+    holding it in the order given."""
+    walls = {}
+    for cm in masks:
+        mm = cm
+        while mm:
+            low = mm & (-mm)
+            walls.setdefault(cm ^ low, []).append(cm)
+            mm ^= low
+    return walls
 
 
 class Engine:
@@ -227,40 +256,6 @@ class Engine:
         self._dep[smask] = circ
         return circ
 
-    # -- an exact test that two simplices meet in a common face --------
-
-    def meet_in_common_face(self, m1, m2):
-        """conv(m1) and conv(m2) intersect exactly in conv(m1 & m2).
-
-        Any vertex subset of a simplex spans a face, so this is the
-        face-to-face condition. Decided by maximizing the barycentric mass
-        off the shared vertices over the intersection.
-        """
-        if m1 == m2:
-            return True
-        shared = m1 & m2
-        p1 = self.points_of(m1)
-        p2 = self.points_of(m2)
-        l1 = _labels(m1)
-        l2 = _labels(m2)
-        d = self.n
-        # columns: lambda (over m1), mu (over m2)
-        cols = []
-        obj = []
-        for l, p in zip(l1, p1):
-            cols.append(list(p) + [1, 0])
-            obj.append(0 if (1 << (l - 1)) & shared else 1)
-        for l, p in zip(l2, p2):
-            cols.append([-x for x in p] + [0, 1])
-            obj.append(0 if (1 << (l - 1)) & shared else 1)
-        b = [0] * d + [1, 1]
-        status, x, val = max_eq_lp(obj, cols, b)
-        if status == "infeasible":
-            return True  # hulls do not even intersect
-        if status != "optimal":
-            raise CheckFailed(f"common-face LP ended {status}")
-        return val == 0
-
     # -- regularity ------------------------------------------------------
 
     @cached_property
@@ -281,44 +276,43 @@ class Engine:
         fixed = {l - 1 for l in self.frame}
         return tuple(i for i in range(self.m) if i not in fixed)
 
-    def circuits(self, masks):
-        """The cells' circuits, as (circuit, apex label) pairs.
-
-        One per interior wall, in the order the cells meet it: the circuit
-        of its two cells, apex the first cell's point off the wall. Then
-        one per unused point, ascending: the circuit of the point and the
-        first cell that holds it, apex the point. (Cells meeting face to
-        face give every cell holding the point the same circuit.) Raises
-        CheckFailed when the cells do not fold like a triangulation (a
-        wall in more than two cells, apexes off the circuit or on one side
-        of their wall, or a point outside every cell).
-        """
-        walls = {}
-        used = 0
-        for cm in masks:
-            used |= cm
-            mm = cm
-            while mm:
-                low = mm & (-mm)
-                walls.setdefault(cm ^ low, []).append(cm)
-                mm ^= low
+    def wall_circuits(self, walls):
+        """(circuit of its two cells, apex label) for each wall of `walls`
+        (see _walls) held by two cells, in order; the apex is the first
+        cell's point off the wall. Raises CheckFailed if a wall is held by
+        more than two cells, or its two cells lie on one side of it."""
         out = []
         for wall, owners in walls.items():
             if len(owners) == 1:
                 continue
             if len(owners) != 2:
                 raise CheckFailed("wall shared by more than two cells")
-            circ = self.circuit_of(owners[0] | owners[1])
-            if circ is None:
-                raise CheckFailed("two cells across a wall hold no circuit")
-            apex, other = owners[0] & ~wall, owners[1] & ~wall
-            if not apex & circ.support:
-                raise CheckFailed("apex off the wall circuit in a valid triangulation")
+            a, b = owners
+            circ = self.circuit_of(a | b)
+            apex, other = a & ~wall, b & ~wall
             # opposite sides of the wall are one sign class of its circuit
-            if not other & (circ.plus if apex & circ.plus else circ.minus):
-                raise CheckFailed("apexes fold to the same side")
+            if (
+                circ is None
+                or not apex & circ.support
+                or not other & (circ.plus if apex & circ.plus else circ.minus)
+            ):
+                raise CheckFailed(f"cells {_labels(a)} and {_labels(b)} fold onto one side")
             out.append((circ, apex.bit_length()))
-        for i in bit_indices(self.full_mask & ~used):
+        return out
+
+    def circuits(self, masks):
+        """The cells' circuits, as (circuit, apex label) pairs.
+
+        One per interior wall, in the order the cells meet it (see
+        wall_circuits). Then one per unused point, ascending: the circuit
+        of the point and the first cell that holds it, apex the point.
+        (Cells meeting face to face give every cell holding the point the
+        same circuit.) Raises CheckFailed when the cells do not fold like
+        a triangulation (see wall_circuits) or a point is outside every
+        cell.
+        """
+        out = self.wall_circuits(_walls(masks))
+        for i in bit_indices(self.full_mask & ~reduce(or_, masks, 0)):
             host = next((cm for cm in masks if self.cell_contains(cm, i + 1)), None)
             if host is None:
                 raise CheckFailed("unused point outside every cell")

@@ -16,14 +16,21 @@
   wall (the kernel of its two cells, positive at the first cell's apex)
   and one per unused point (den e_i minus den times its barycentric
   coordinates in the first cell holding it).
+- pairwise_verdict: whether cells triangulate the hull, by the volume and
+  a face-to-face test of every pair of cells (meet_in_common_face), the
+  check `Triangulation.validate` made before it read walls alone.
 
-Everything is exact rational arithmetic and nothing here shares logic
-with the library.
+Everything is exact rational arithmetic. Nothing here shares logic with
+the library, except that meet_in_common_face solves its LP with the
+library's `max_eq_lp`.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
+
+from regtriang.lp import max_eq_lp
 
 
 def _cross(o, a, b):
@@ -364,3 +371,71 @@ def fold_rows(points, masks):
             row[j] -= int(x * den)
         rows.append(row)
     return rows
+
+
+def meet_in_common_face(points, m1, m2):
+    """Whether the simplices on cell masks m1 and m2 (bit i = points[i])
+    intersect exactly in the face spanned by m1 & m2: the barycentric mass
+    off the shared points, maximized over the intersection, is 0."""
+    if m1 == m2:
+        return True
+    cols = []
+    obj = []
+    d = len(points[0])
+    for cell, sign, lift in ((m1, 1, [1, 0]), (m2, -1, [0, 1])):
+        for i in range(len(points)):
+            if cell >> i & 1:
+                cols.append([sign * x for x in points[i]] + lift)
+                obj.append(0 if (m1 & m2) >> i & 1 else 1)
+    status, _, value = max_eq_lp(obj, cols, [0] * d + [1, 1])
+    if status == "infeasible":
+        return True  # the simplices do not meet at all
+    if status != "optimal":
+        raise ValueError(f"common-face LP ended {status}")
+    return value == 0
+
+
+def _det(rows):
+    m = [[Fraction(x) for x in r] for r in rows]
+    det = Fraction(1)
+    for col in range(len(m)):
+        piv = next((i for i in range(col, len(m)) if m[i][col]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det *= m[col][col]
+        for i in range(col + 1, len(m)):
+            f = m[i][col] / m[col][col]
+            m[i] = [a - f * b for a, b in zip(m[i], m[col])]
+    return det
+
+
+@lru_cache(maxsize=None)
+def _normalized_volume(points):
+    return hull_volume(list(points))
+
+
+def pairwise_verdict(points, masks):
+    """The first rule the cells (bit i = points[i]) break, or None if they
+    triangulate conv(points): "degenerate" (a cell not d+1 of the points
+    with positive volume), "volume" (volumes not summing to the hull's) or
+    "overlap" (two cells not meeting in a common face). A repeated cell
+    meets its copy in a common face, so it passes the pair test."""
+    d = len(points[0])
+    total = 0
+    for c in masks:
+        idx = [i for i in range(len(points)) if c >> i & 1]
+        if c >> len(points) or len(idx) != d + 1:
+            return "degenerate"
+        p0 = points[idx[0]]
+        vol = abs(_det([[a - b for a, b in zip(points[i], p0)] for i in idx[1:]]))
+        if vol == 0:
+            return "degenerate"
+        total += vol
+    if total != _normalized_volume(tuple(points)):
+        return "volume"
+    if not all(meet_in_common_face(points, a, b) for a, b in combinations(masks, 2)):
+        return "overlap"
+    return None

@@ -6,6 +6,8 @@ import pytest
 
 from regtriang.cli import main
 
+from test_enumeration import REPEATED_CELL_PLACES, with_repeated_cell
+
 SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1]]
 
 
@@ -426,6 +428,20 @@ def test_checkpoint_record_that_is_no_triangulation_exits_4(tmp_path, capsys):
     level_one = [i for i, line in enumerate(lines) if json.loads(line).get("t") == "v"][1]
     lines[level_one] = json.dumps({"t": "v", "enc": "1,2,3"})
     ck.write_text("\n".join(lines) + "\n")
+    code, report = run_json(command, capsys)
+    assert code == 4
+    assert report["error"]["type"] == "CheckpointCorrupt"
+
+
+@pytest.mark.parametrize("where", REPEATED_CELL_PLACES)
+def test_checkpoint_record_that_repeats_a_cell_exits_4(tmp_path, capsys, where):
+    ck = tmp_path / "ck.jsonl"
+    command = ["triang", "enumerate", "hexagon", "--count-only", "--checkpoint", str(ck)]
+    code, _ = run_json(command, capsys)
+    assert code == 0
+    records = [json.loads(line) for line in ck.read_text().splitlines()]
+    records = with_repeated_cell(records, where)
+    ck.write_text("".join(json.dumps(rec, sort_keys="magic" in rec) + "\n" for rec in records))
     code, report = run_json(command, capsys)
     assert code == 4
     assert report["error"]["type"] == "CheckpointCorrupt"

@@ -276,6 +276,40 @@ def test_record_that_is_no_triangulation_is_corrupt(tmp_path, case):
         enumerate_regular(HEXAGON, checkpoint_path=path, resume=True)
 
 
+# six copies of the unit cell 1,2,3, whose volumes fill the hexagon
+REPEATED_CELL = ";".join(["1,2,3"] * 6)
+REPEATED_CELL_PLACES = ["level-one", "last-level", "frontier", "appended"]
+
+
+def with_repeated_cell(records, where):
+    """A finished hexagon checkpoint's records without the done record,
+    with REPEATED_CELL in place of the first level-one record, among the
+    records of the last level that accepted any, in the frontier of the
+    last commit (which closed an empty level), or after the last commit."""
+    records = records[:-1]
+    commits = [i for i, rec in enumerate(records) if rec.get("t") == "commit"]
+    assert records[commits[-2]]["count"] == records[commits[-1]]["count"]
+    if where == "level-one":
+        [rec for rec in records if rec.get("t") == "v"][1]["enc"] = REPEATED_CELL
+        return records
+    at = {"last-level": commits[-2], "frontier": commits[-1], "appended": len(records)}[where]
+    for rec in records[at:]:
+        rec["count"] += 1
+    return records[:at] + [{"t": "v", "enc": REPEATED_CELL}] + records[at:]
+
+
+@pytest.mark.parametrize("where", REPEATED_CELL_PLACES)
+def test_record_that_repeats_a_cell_is_corrupt(tmp_path, where):
+    # its volumes fill the hull, but it is no triangulation: counted, it
+    # takes the place of a real one or makes 33 triangulations, and on
+    # the frontier the walk ends in CheckFailed
+    path = str(tmp_path / "hex.ckpt")
+    enumerate_regular(HEXAGON, checkpoint_path=path)
+    _write_records(path, with_repeated_cell(_records(path), where))
+    with pytest.raises(CheckpointCorrupt):
+        enumerate_regular(HEXAGON, checkpoint_path=path, resume=True)
+
+
 @pytest.mark.parametrize(
     "line",
     [b'{"t": "commit", "level": "x", "count": 1}', b'{"t": "done"}', b"[1, 2]", b"\xff\xfe"],

@@ -3,6 +3,9 @@
 import ast
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import regtriang
@@ -135,3 +138,47 @@ def test_tracer_reads_the_engine_caches():
     config = PointConfiguration(fixture("hexagon").points)
     assert enumerate_regular(config).count == 32
     assert layertrace.engine_cache_entries([engine(config)]) > 0
+
+
+_TRACED_POOL = """
+import json, sys
+from collections import Counter
+sys.path[:0] = sys.argv[1:]
+import layertrace
+from regtriang.enumeration import enumerate_regular
+from regtriang.fixtures import fixture
+from regtriang.prism import prism_configuration
+
+def run():
+    config = prism_configuration(fixture("4b"))
+    return enumerate_regular(config, jobs=2, collect=True).encodings
+
+plain = run()
+tracer = layertrace.Tracer()
+layertrace.install(tracer)
+merged = Counter()
+merge = tracer.merge
+def counted_merge(spans, counts):
+    merged.update(counts)
+    merge(spans, counts)
+tracer.merge = counted_merge
+tracer.active = True
+traced = run()
+tracer.active = False
+print(json.dumps({"count": len(plain), "same": traced == plain,
+                  "worker_pivots": merged["pivots"]}))
+"""
+
+
+def test_traced_pool_run_matches_the_untraced_one():
+    # the tracer hands the parent a Decision in place of each pooled
+    # _decide result, and the enumeration reads only its truth value
+    src = str(Path(regtriang.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", _TRACED_POOL, str(PERFBENCH), src],
+        capture_output=True, text=True, check=True,
+    )
+    report = json.loads(out.stdout.splitlines()[-1])
+    assert report["count"] == 1270
+    assert report["same"]
+    assert report["worker_pivots"] > 0

@@ -14,9 +14,9 @@ from regtriang.errors import (
     UnsupportedFlip,
     VolumeMismatch,
 )
-from regtriang import geometry
+from regtriang import geometry, lp
 from regtriang.fixtures import fixture, fixture_names
-from regtriang.geometry import PointConfiguration
+from regtriang.geometry import PointConfiguration, bit_indices
 from regtriang.linalg import rank_int
 from regtriang.lp import strict_feasible
 from regtriang.prism import prism_configuration
@@ -33,7 +33,7 @@ from regtriang.triangulation import (
     supported_flips,
 )
 
-from oracles import fold_rows, placing_cells
+from oracles import fold_rows, meet_in_common_face, pairwise_verdict, placing_cells
 
 SQUARE = PointConfiguration([(0, 0), (1, 0), (1, 1), (0, 1)])
 
@@ -42,6 +42,12 @@ CENTER_SQUARE = PointConfiguration([(0, 0), (2, 0), (2, 2), (0, 2), (1, 1)])
 
 # two nested triangles, the standard source of non-regular triangulations
 NESTED = PointConfiguration([(0, 0), (4, 0), (0, 4), (1, 1), (2, 1), (1, 2)])
+
+# every fixture and its prism
+_FIXTURE_CONFIGS = [fixture(name) for name in fixture_names()] + [
+    prism_configuration(fixture(name)) for name in fixture_names()
+]
+_FIXTURE_IDS = list(fixture_names()) + [f"{name}-prism" for name in fixture_names()]
 
 
 def full_column_engine(config):
@@ -99,19 +105,98 @@ def test_validate_overlap_not_face():
         t.validate()
 
 
+def test_validate_rejects_a_repeated_cell():
+    # the volumes fill the hull, and a cell meets its copy in a common face
+    hexagon = fixture("hexagon")
+    for config, enc in (
+        (SQUARE, "1,2,3;1,2,3"),
+        (hexagon, "1,2,3;1,2,3;1,3,4;1,4,5;1,5,6;1,6,7"),
+    ):
+        t = Triangulation.decode(config, enc)
+        assert pairwise_verdict(config.points, t.masks) is None
+        with pytest.raises(OverlapNotFace):
+            t.validate()
+
+
+def test_validate_rejects_a_wall_of_one_cell_inside_the_hull():
+    # the cells cover the square once, but 1,4,5 and 3,4,5 split 1,3,4 at
+    # the center 5, which is inside the edge 1-3 of the cell 1,2,3: the
+    # walls 1-3, 1-5 and 3-5 each belong to one cell
+    t = Triangulation(CENTER_SQUARE, [(1, 2, 3), (1, 4, 5), (3, 4, 5)])
+    assert sum(engine(CENTER_SQUARE).volume(m) for m in t.masks) == 8
+    assert pairwise_verdict(CENTER_SQUARE.points, t.masks) == "overlap"
+    with pytest.raises(OverlapNotFace):
+        t.validate()
+
+
 def test_common_face_tests():
-    eng = engine(SQUARE)
+    # the pairwise oracle that validate's wall rule replaced
     diag1 = 0b0111  # cells of the two square triangulations
     diag2 = 0b1101
-    assert eng.meet_in_common_face(diag1, diag2)  # share the diagonal
-    eng2 = engine(CENTER_SQUARE)
-    assert eng2.meet_in_common_face(0b00111, 0b01101)
+    assert meet_in_common_face(SQUARE.points, diag1, diag2)  # share the diagonal
+    assert meet_in_common_face(CENTER_SQUARE.points, 0b00111, 0b01101)
     # overlapping segments on a line are not face-to-face
-    line = PointConfiguration([(0,), (1,), (2,), (3,)])
-    enl = engine(line)
-    assert not enl.meet_in_common_face(0b101, 0b110)
-    assert enl.meet_in_common_face(0b011, 0b110)  # share the point 1
-    assert enl.meet_in_common_face(0b0011, 0b1100)  # disjoint segments
+    line = [(0,), (1,), (2,), (3,)]
+    assert not meet_in_common_face(line, 0b101, 0b110)
+    assert meet_in_common_face(line, 0b011, 0b110)  # share the point 1
+    assert meet_in_common_face(line, 0b0011, 0b1100)  # disjoint segments
+
+
+_VERDICT = {DegenerateSimplex: "degenerate", VolumeMismatch: "volume", OverlapNotFace: "overlap"}
+
+
+def _verdict(config, masks):
+    try:
+        Triangulation.from_masks(config, masks).validate()
+    except tuple(_VERDICT) as exc:
+        return _VERDICT[type(exc)]
+    return None
+
+
+def _perturbed(config, masks, rng):
+    """Cell sets near a triangulation: a label swapped for one off its cell,
+    a cell replaced by a copy of another, a cell dropped."""
+    masks = list(masks)
+    out = []
+    for _ in range(8 if len(config) > config.dim + 1 else 0):
+        k = rng.randrange(len(masks))
+        cell = masks[k]
+        gone = rng.choice(bit_indices(cell))
+        come = rng.choice(bit_indices(((1 << len(config)) - 1) & ~cell))
+        out.append(masks[:k] + [(cell ^ 1 << gone) | 1 << come] + masks[k + 1:])
+    for _ in range(3 if len(masks) > 1 else 0):
+        i, j = rng.sample(range(len(masks)), 2)
+        out.append(masks[:i] + [masks[j]] + masks[i + 1:])
+    return out + [masks[1:]]
+
+
+@pytest.mark.parametrize("config", _FIXTURE_CONFIGS, ids=_FIXTURE_IDS)
+def test_validate_agrees_with_the_pairwise_oracle(config):
+    # the wall rule and the old pairwise LPs agree on every set, except
+    # that only the wall rule rejects a repeated cell
+    rng = random.Random(len(config) * 31 + config.dim)
+    t = placing_triangulation(config)
+    for base in [t] + [flip(t, circ) for circ in supported_flips(t)[:2]]:
+        assert _verdict(config, base.masks) is None
+        for masks in _perturbed(config, base.masks, rng):
+            expected = pairwise_verdict(config.points, masks)
+            if len(set(masks)) < len(masks):
+                expected = expected or "overlap"
+            assert _verdict(config, masks) == expected, masks
+
+
+def test_validating_fixture_prisms_solves_no_lp(monkeypatch):
+    # every LP of the package starts in lp._phase1
+    def no_lp(*args):
+        raise AssertionError("validate solved an LP")
+
+    for name in ("square", "triangle", "triangle4", "3", "4a", "4b", "4c"):
+        config = prism_configuration(fixture(name))
+        encodings = enumerate_regular(config, collect=True).encodings
+        with monkeypatch.context() as patched:
+            patched.setattr(lp, "_phase1", no_lp)
+            for enc in encodings:
+                assert Triangulation.decode(config, enc).validate()
 
 
 def test_square_flip_is_the_diagonal_circuit():
@@ -175,15 +260,7 @@ def test_placing_interior_first_uses_all_points():
     assert is_regular(t)
 
 
-_PLACING_CONFIGS = [fixture(name) for name in fixture_names()] + [
-    prism_configuration(fixture(name)) for name in fixture_names()
-]
-
-
-@pytest.mark.parametrize(
-    "config", _PLACING_CONFIGS,
-    ids=list(fixture_names()) + [f"{name}-prism" for name in fixture_names()],
-)
+@pytest.mark.parametrize("config", _FIXTURE_CONFIGS, ids=_FIXTURE_IDS)
 def test_placing_matches_the_hull_per_point_oracle(config):
     # label order, then random orders of random subsets, as the K-energy
     # refinement places the points of each coarse cell
