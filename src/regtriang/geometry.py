@@ -213,20 +213,10 @@ class LatticePolytope:
     @property
     def reduced(self):
         if self._reduced is None:
-            sols = _dirs(self.points, self.base)
-            # in full dimension the saturated basis is the identity: no solve
-            if self.dim < self.ambient_dim:
-                rows = [
-                    [self.basis[j][i] for j in range(self.dim)]
-                    for i in range(self.ambient_dim)
-                ]
-                sols = [solve_rational(rows, rhs) for rhs in sols]
-                if None in sols:
-                    raise CheckFailed("a point is off the affine hull")
-            # integral coordinates as ints keep the hull arithmetic off Fractions
-            self._reduced = [
-                tuple(int(x) if x.denominator == 1 else x for x in sol) for sol in sols
-            ]
+            sols = [self._coord_or_none(p) for p in self.points]
+            if None in sols:
+                raise CheckFailed("a point is off the affine hull")
+            self._reduced = sols
         return self._reduced
 
     def _unreduce(self, t):
@@ -277,18 +267,17 @@ class LatticePolytope:
         return all(_dot(u, t) >= c for u, c, _ in self.hull.facets)
 
     def _coord_or_none(self, point):
-        if self.dim == 0:
-            return () if tuple(point) == tuple(self.base) else None
-        rows = [[self.basis[j][i] for j in range(self.dim)] for i in range(self.ambient_dim)]
-        rhs = [a - b for a, b in zip(point, self.base)]
-        sol = solve_rational(rows, rhs)
-        if sol is None:
-            return None
-        # solve_rational ignores extra inconsistencies only if rank looks ok;
-        # verify the reconstruction to be safe
-        if self._unreduce(sol) != tuple(point):
-            return None
-        return tuple(sol)
+        """Coordinates of the point in the saturated basis from the base
+        point, integral ones as ints (which keeps the hull arithmetic off
+        Fractions), or None when the point is off the affine hull."""
+        diff = [a - b for a, b in zip(point, self.base)]
+        if self.dim < self.ambient_dim:
+            rows = [[self.basis[j][i] for j in range(self.dim)] for i in range(self.ambient_dim)]
+            diff = solve_rational(rows, diff)
+            if diff is None or self._unreduce(diff) != tuple(point):
+                return None
+        # in full dimension the saturated basis is the identity: no solve
+        return tuple(int(x) if x.denominator == 1 else x for x in diff)
 
     # -- faces -----------------------------------------------------------
 

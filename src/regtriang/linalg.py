@@ -1,8 +1,11 @@
 """Exact linear algebra over the integers and rationals.
 
-Everything here is deterministic and exact: integer matrices go through
-fraction-free (Bareiss) elimination or Hermite-style reductions, rational
-data is handled with fractions.Fraction. No floating point anywhere.
+Everything here is deterministic and exact, with no floating point.
+Two eliminations serve every question. One fraction-free (Bareiss) row
+echelon form gives determinants, ranks and rational solutions; a solve
+scales each equation to integers first and back-substitutes over the
+pivots in fractions.Fraction. Hermite normal forms give lattice bases:
+integer kernels, saturations and integer solutions.
 """
 
 from fractions import Fraction
@@ -10,33 +13,57 @@ from itertools import combinations
 from math import gcd, lcm
 
 
-def det_int(rows):
-    """Determinant of a square integer matrix, fraction-free Bareiss."""
+def _echelon(rows):
+    """Fraction-free (Bareiss) row echelon form of an integer matrix.
+
+    Returns (a, pivots, sign): the rows, swapped and reduced so that row r
+    has its first nonzero entry in column pivots[r] and the rows past the
+    pivots are zero; sign is (-1) to the number of swaps. Each entry is a
+    minor of the swapped matrix, so every division is exact, and the last
+    pivot of a nonsingular square matrix is sign times its determinant.
+    """
     a = [list(r) for r in rows]
-    n = len(a)
-    if n == 0:
-        return 1
+    m = len(a)
+    ncols = len(a[0]) if m else 0
+    pivots = []
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
+    r = 0
+    for col in range(ncols):
+        row_r = a[r]
+        pk = row_r[col]
+        if not pk:
+            for i in range(r + 1, m):
+                if a[i][col]:
                     break
             else:
-                return 0
-        pk = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            row_i = a[i]
-            row_k = a[k]
-            for j in range(k + 1, n):
-                row_i[j] = (pk * row_i[j] - aik * row_k[j]) // prev
-            row_i[k] = 0
+                continue
+            a[r], a[i] = a[i], row_r
+            row_r = a[r]
+            pk = row_r[col]
+            sign = -sign
+        pivots.append(col)
+        r += 1
+        if r == m:
+            break
+        # only the columns right of the pivot change
+        rest = range(col + 1, ncols)
+        for row_i in a[r:]:
+            aic = row_i[col]
+            for j in rest:
+                row_i[j] = (pk * row_i[j] - aic * row_r[j]) // prev
+            row_i[col] = 0
         prev = pk
-    return sign * a[n - 1][n - 1]
+    return a, pivots, sign
+
+
+def det_int(rows):
+    """Determinant of a square integer matrix."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    a, pivots, sign = _echelon(rows)
+    return sign * a[-1][-1] if len(pivots) == n else 0
 
 
 def scale_to_integers(vec):
@@ -68,35 +95,8 @@ def primitive_direction(vec):
 
 
 def rank_int(rows):
-    """Rank of an integer matrix via fraction-free elimination."""
-    a = [list(r) for r in rows if any(r)]
-    if not a:
-        return 0
-    ncols = len(a[0])
-    rank = 0
-    prev = 1
-    row = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(row, len(a)):
-            if a[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        pk = a[row][col]
-        for i in range(row + 1, len(a)):
-            aic = a[i][col]
-            for j in range(col + 1, ncols):
-                a[i][j] = (pk * a[i][j] - aic * a[row][j]) // prev
-            a[i][col] = 0
-        prev = pk
-        rank += 1
-        row += 1
-        if row == len(a):
-            break
-    return rank
+    """Rank of an integer matrix."""
+    return len(_echelon(rows)[1])
 
 
 def rank_rows(rows):
@@ -220,40 +220,23 @@ def saturation_basis(vectors, dim=None):
 def solve_rational(a_rows, b):
     """One exact solution of A x = b, or None if inconsistent.
 
-    Underdetermined systems get free variables set to zero.
+    Free variables, the columns that depend on the ones before them, are
+    set to zero. Each equation is scaled to integers and eliminated
+    fraction-free; the pivot variables are back-substituted in Fractions.
     """
     m = len(a_rows)
     if m == 0:
         return []
     n = len(a_rows[0])
-    aug = [[Fraction(x) for x in a_rows[i]] + [Fraction(b[i])] for i in range(m)]
-    pivots = []
-    row = 0
-    for col in range(n):
-        piv = None
-        for i in range(row, m):
-            if aug[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        pv = aug[row][col]
-        aug[row] = [x / pv for x in aug[row]]
-        for i in range(m):
-            if i != row and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[row])]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    for i in range(row, m):
-        if aug[i][n] != 0:
-            return None
+    a, pivots, _ = _echelon(
+        [scale_to_integers(list(row) + [rhs])[0] for row, rhs in zip(a_rows, b)]
+    )
+    if pivots and pivots[-1] == n:
+        return None
     x = [Fraction(0)] * n
-    for r, col in enumerate(pivots):
-        x[col] = aug[r][n]
+    for r in reversed(range(len(pivots))):
+        row, col = a[r], pivots[r]
+        x[col] = Fraction(row[n] - sum(row[j] * x[j] for j in pivots[r + 1:]), row[col])
     return x
 
 

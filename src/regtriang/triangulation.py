@@ -2,9 +2,10 @@
 
 A triangulation is the sorted tuple of its cell bitmasks (bit i-1 =
 label i); the sorted-label view and its string encoding are derived on
-first use. A per-configuration engine caches simplex volumes,
-affine dependences and containment tests, since enumeration revisits the
-same small sets constantly.
+first use. A per-configuration engine caches simplex volumes and
+affine dependences, since enumeration revisits the same small sets
+constantly. The dependences decide containment too: a point lies in a
+full-dimensional cell iff it is alone on its side of their circuit.
 
 Fold rows and flips read one circuit list per triangulation,
 `Engine.circuits`: the circuit of the two cells across each interior
@@ -59,6 +60,8 @@ def _labels(mask):
 def _mask(labels):
     m = 0
     for l in labels:
+        if l < 1:
+            raise DegenerateSimplex(f"label {l} is below 1")
         m |= 1 << (l - 1)
     return m
 
@@ -202,6 +205,8 @@ class Engine:
         self._vol = {}
         self._dep = {}
         self._circuits = {}
+        # always empty, since circuits decide containment (cell_contains);
+        # perfbench/layertrace.py counts its entries, so the name stays
         self._bary = {}
         # one int object per cell mask, shared by the mask tuples holding it
         self.cell_masks = {}
@@ -216,20 +221,15 @@ class Engine:
             self._vol[mask] = v
         return v
 
-    def barycentric_in(self, cell_mask, label):
-        """Barycentric coordinates of a point in a cell, or None."""
-        key = (cell_mask, label)
-        if key not in self._bary:
-            self._bary[key] = barycentric(
-                self.points_of(cell_mask), self.pts[label - 1]
-            )
-        return self._bary[key]
-
     def cell_contains(self, cell_mask, label):
-        if cell_mask & (1 << (label - 1)):
+        """Whether the point lies in the full-dimensional cell: it is a
+        vertex, or alone on its side of the circuit of the cell and the
+        point (so none of its barycentric coordinates is negative)."""
+        bit = 1 << (label - 1)
+        if cell_mask & bit:
             return True
-        coords = self.barycentric_in(cell_mask, label)
-        return coords is not None and all(c >= 0 for c in coords)
+        circ = self.circuit_of(cell_mask | bit)
+        return bit in (circ.plus, circ.minus)
 
     def circuit_of(self, smask):
         """Circuit supported inside the point set smask, or None.

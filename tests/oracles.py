@@ -19,6 +19,9 @@
 - pairwise_verdict: whether cells triangulate the hull, by the volume and
   a face-to-face test of every pair of cells (meet_in_common_face), the
   check `Triangulation.validate` made before it read walls alone.
+- solve_rational: one solution of A x = b by Gauss-Jordan elimination in
+  Fractions, free variables 0, the solve the library made before its
+  fraction-free elimination.
 
 Everything is exact rational arithmetic. Nothing here shares logic with
 the library, except that meet_in_common_face solves its LP with the
@@ -182,6 +185,46 @@ def _reduce(rows):
                 m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
         rank += 1
     return m[:rank]
+
+
+def solve_rational(a_rows, b):
+    """One exact solution of A x = b, or None if inconsistent.
+
+    Underdetermined systems get free variables set to zero.
+    """
+    m = len(a_rows)
+    if m == 0:
+        return []
+    n = len(a_rows[0])
+    aug = [[Fraction(x) for x in a_rows[i]] + [Fraction(b[i])] for i in range(m)]
+    pivots = []
+    row = 0
+    for col in range(n):
+        piv = None
+        for i in range(row, m):
+            if aug[i][col] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        aug[row], aug[piv] = aug[piv], aug[row]
+        pv = aug[row][col]
+        aug[row] = [x / pv for x in aug[row]]
+        for i in range(m):
+            if i != row and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[row])]
+        pivots.append(col)
+        row += 1
+        if row == m:
+            break
+    for i in range(row, m):
+        if aug[i][n] != 0:
+            return None
+    x = [Fraction(0)] * n
+    for r, col in enumerate(pivots):
+        x[col] = aug[r][n]
+    return x
 
 
 def affine_rank(points):

@@ -400,10 +400,10 @@ def test_checkpoint_corrupt_exits_4(tmp_path, capsys):
     assert report["error"]["type"] == "CheckpointCorrupt"
 
 
-@pytest.mark.parametrize("enc", ["1,2,99", "1,2,x", 7])
+@pytest.mark.parametrize("enc", ["1,2,99", "1,2,x", 7, "0,1,2;1,3,4"])
 def test_checkpoint_malformed_record_exits_4(tmp_path, capsys, enc):
     # [TRIVIAL] a record that encodes no triangulation is corruption,
-    # whether it parses (labels out of range) or not.
+    # whether it parses (labels out of range, above N or below 1) or not.
     ck = tmp_path / "ck.jsonl"
     command = ["triang", "enumerate", "hexagon", "--count-only", "--checkpoint", str(ck)]
     code, _ = run_json(command, capsys)

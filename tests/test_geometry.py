@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import affine_rank, hull_faces, hull_facets, hull_vertices, hull_volume
+from oracles import affine_rank, hull_faces, hull_facets, hull_vertices, hull_volume, in_hull
 from regtriang.errors import BadConfig
 from regtriang.fixtures import fixture, fixture_names
 from regtriang.geometry import (
@@ -239,10 +239,13 @@ def test_reduced_coordinates_of_lattice_points_are_ints():
 
 @st.composite
 def _embedded_sets(draw):
-    """(points, base): distinct points spanning dimension k <= 4, with
-    denominators up to 3, and their image under x -> (x, Mx + b) in up to
-    two more integer coordinates, shuffled. The image of Z^k is the
-    saturated lattice of the span, so the volumes of both agree."""
+    """(points, base, queries): distinct points spanning dimension k <= 4,
+    with denominators up to 3, and their image under x -> (x, Mx + b) in
+    up to two more integer coordinates, shuffled. The image of Z^k is the
+    saturated lattice of the span, so the volumes of both agree. The
+    queries are images of rational points of the span with denominators
+    up to 3 (inside, on the boundary or outside), of the midpoint of two
+    of the points, and, when embedded, such an image moved off the span."""
     k = draw(st.integers(0, 4))
     extra = draw(st.integers(0, min(2, 4 - k)))
     den = draw(st.integers(1, 3))
@@ -255,11 +258,21 @@ def _embedded_sets(draw):
         min_size=extra, max_size=extra,
     ))
     order = draw(st.permutations(range(k + extra)))
-    points = []
-    for p in base:
+
+    def embed(p):
         q = p + tuple(sum(a * x for a, x in zip(r, p)) + r[-1] for r in rows)
-        points.append(tuple(q[i] for i in order))
-    return points, base
+        return tuple(q[i] for i in order)
+
+    points = [embed(p) for p in base]
+    thirds = st.lists(st.integers(-7, 7).map(lambda x: Fraction(x, 3)), min_size=k, max_size=k)
+    queries = [embed(tuple(draw(thirds))) for _ in range(3)]
+    a, b = draw(st.sampled_from(base)), draw(st.sampled_from(base))
+    queries.append(embed(tuple((x + y) / 2 for x, y in zip(a, b))))
+    if extra:
+        off = list(queries[0])
+        off[order.index(k)] += Fraction(1, 2)
+        queries.append(tuple(off))
+    return points, base, queries
 
 
 def _inequality(f):
@@ -280,7 +293,7 @@ def _tight_sets(points, facets):
 @settings(max_examples=80, deadline=None)
 @given(_embedded_sets())
 def test_hull_matches_the_brute_force_oracle(case):
-    points, base = case
+    points, base, queries = case
     poly = LatticePolytope(points)
     assert poly.dim == len(base[0])
     assert poly.vertices == sorted(hull_vertices(points))
@@ -292,6 +305,8 @@ def test_hull_matches_the_brute_force_oracle(case):
         # full-dimensional: the primitive inner normals are unique
         expected = [_inequality(f) for f, _ in hull_facets(points)]
         assert sorted(poly.facets) == sorted(expected)
+    for q in queries:
+        assert poly.contains(q) == in_hull(q, points), q
 
 
 def _assert_faces_match_the_oracle(points, poly):
@@ -325,7 +340,7 @@ def _assert_faces_match_the_oracle(points, poly):
 @settings(max_examples=80, deadline=None)
 @given(_embedded_sets())
 def test_faces_match_the_oracle_face_search(case):
-    points, _ = case
+    points, _, _ = case
     _assert_faces_match_the_oracle(points, LatticePolytope(points))
 
 

@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import affine_rank, solve_rational as gauss_jordan_solve
 from regtriang.linalg import (
     affine_dependence,
     barycentric,
@@ -13,8 +16,10 @@ from regtriang.linalg import (
     normalized_simplex_volume,
     primitive,
     primitive_direction,
+    rank_int,
     rank_rows,
     saturation_basis,
+    scale_to_integers,
     solve_integer_saturated,
     solve_rational,
 )
@@ -47,19 +52,17 @@ def test_det_small():
     assert det_int([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == 0
 
 
+def cofactor(m):
+    """Determinant by cofactor expansion along the first row."""
+    total = 0 if m else 1
+    for j in range(len(m)):
+        sub = [row[:j] + row[j + 1 :] for row in m[1:]]
+        total += (-1) ** j * m[0][j] * cofactor(sub)
+    return total
+
+
 def test_det_matches_cofactor_expansion():
     rng = random.Random(7)
-
-    def cofactor(m):
-        n = len(m)
-        if n == 1:
-            return m[0][0]
-        total = 0
-        for j in range(n):
-            sub = [row[:j] + row[j + 1 :] for row in m[1:]]
-            total += (-1) ** j * m[0][j] * cofactor(sub)
-        return total
-
     for _ in range(60):
         n = rng.randint(1, 5)
         m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
@@ -159,6 +162,64 @@ def test_solve_rational():
     assert solve_rational([[1, 1], [1, 1]], [0, 1]) is None
     x = solve_rational([[1, 1]], [3])
     assert x is not None and x[0] + x[1] == 3
+
+
+@st.composite
+def _systems(draw):
+    """(A, b, consistent) with A up to 5 x 5: integer entries, or integers
+    and Fractions with denominators up to 3, sometimes a product through
+    an inner dimension below both sides (rank deficient), with random rows
+    and columns zeroed. A consistent b is A times a random vector; any
+    other b is drawn at random."""
+    m, n = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    ints = st.integers(-3, 3)
+    entries = draw(st.sampled_from([ints, st.one_of(ints, st.fractions(-3, 3, max_denominator=3))]))
+
+    def matrix(rows, cols):
+        return draw(st.lists(
+            st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+        ))
+
+    if draw(st.booleans()):
+        a = matrix(m, n)
+    else:
+        k = draw(st.integers(0, min(m, n)))
+        left, right = matrix(m, k), matrix(k, n)
+        a = [[sum(left[i][t] * right[t][j] for t in range(k)) for j in range(n)] for i in range(m)]
+    zero_rows = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    zero_cols = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    a = [
+        [0 if zr or zc else x for x, zc in zip(row, zero_cols)]
+        for row, zr in zip(a, zero_rows)
+    ]
+    consistent = draw(st.booleans())
+    if consistent:
+        x0 = draw(st.lists(entries, min_size=n, max_size=n))
+        b = [sum(x * y for x, y in zip(row, x0)) for row in a]
+    else:
+        b = draw(st.lists(entries, min_size=m, max_size=m))
+    return a, b, consistent
+
+
+@settings(max_examples=400, deadline=None)
+@given(_systems())
+def test_one_elimination_matches_the_oracles(system):
+    a, b, consistent = system
+    x = solve_rational(a, b)
+    # the same vector as Gauss-Jordan, free variables 0
+    assert x == gauss_jordan_solve(a, b)
+    if x is not None:
+        assert all(type(v) is Fraction for v in x)
+        assert [sum(r * v for r, v in zip(row, x)) for row in a] == b
+    elif consistent:
+        pytest.fail("a consistent system was called inconsistent")
+    n = len(a[0]) if a else 0
+    ints = [list(scale_to_integers(row)[0]) for row in a]
+    rank = affine_rank([[0] * n] + ints)
+    assert rank_int(ints) == rank == rank_rows(a)
+    k = min(len(a), n)
+    square = [row[:k] for row in ints[:k]]
+    assert det_int(square) == cofactor(square)
 
 
 def test_solve_integer_saturated():

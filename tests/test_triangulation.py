@@ -1,8 +1,10 @@
+import json
 import random
 import weakref
 from fractions import Fraction
 from functools import reduce
 from operator import or_
+from pathlib import Path
 
 import pytest
 
@@ -14,10 +16,10 @@ from regtriang.errors import (
     UnsupportedFlip,
     VolumeMismatch,
 )
-from regtriang import geometry, lp
+from regtriang import geometry, lp, triangulation
 from regtriang.fixtures import fixture, fixture_names
 from regtriang.geometry import PointConfiguration, bit_indices
-from regtriang.linalg import rank_int
+from regtriang.linalg import barycentric, rank_int
 from regtriang.lp import strict_feasible
 from regtriang.prism import prism_configuration
 from regtriang.triangulation import (
@@ -82,6 +84,15 @@ def test_square_triangulations_validate_and_are_regular():
 def test_not_regular_value_is_falsy():
     assert not NOT_REGULAR
     assert bool(NOT_REGULAR) is False
+
+
+def test_a_label_below_one_is_a_degenerate_simplex():
+    square = fixture("square")
+    for label in (0, -1):
+        with pytest.raises(DegenerateSimplex):
+            Triangulation(square, [(label, 1, 2)])
+    with pytest.raises(DegenerateSimplex):
+        Triangulation.decode(square, "0,1,2;1,3,4")
 
 
 def test_validate_degenerate_cell():
@@ -197,6 +208,40 @@ def test_validating_fixture_prisms_solves_no_lp(monkeypatch):
             patched.setattr(lp, "_phase1", no_lp)
             for enc in encodings:
                 assert Triangulation.decode(config, enc).validate()
+
+
+@pytest.mark.parametrize("config", _FIXTURE_CONFIGS, ids=_FIXTURE_IDS)
+def test_circuits_decide_containment_as_barycentric_coordinates_do(config):
+    # every cell of the placing triangulations in label order and in
+    # reverse (which leaves points unused on facets, as in the hexagon
+    # prism) and of their flip neighbours, against every point
+    eng = engine(config)
+    kinds = set()
+    for t in (placing_triangulation(config), placing_triangulation(config, config.labels()[::-1])):
+        for base in [t] + [flip(t, circ) for circ in supported_flips(t)]:
+            for cell in base.masks:
+                for label in config.labels():
+                    coords = barycentric(eng.points_of(cell), config.point(label))
+                    inside = all(c >= 0 for c in coords)
+                    assert eng.cell_contains(cell, label) == inside, (cell, label)
+                    if not cell >> (label - 1) & 1:
+                        kinds.add(("boundary" if 0 in coords else "interior") if inside else "outside")
+    assert "outside" in kinds or len(config) == config.dim + 1
+    has_non_vertices = len(config.polytope.vertices) < len(config)
+    assert bool(kinds & {"boundary", "interior"}) == has_non_vertices
+
+
+def test_enumeration_computes_no_barycentric_coordinates(monkeypatch):
+    # circuits decide which cell holds an unused point
+    def no_barycentric(*args):
+        raise AssertionError("barycentric coordinates computed")
+
+    monkeypatch.setattr(triangulation, "barycentric", no_barycentric)
+    golden = Path(__file__).parent / "golden" / "table_reflexive.json"
+    rows = json.loads(golden.read_text())["rows"]
+    for name in ("3", "4a", "4b", "4c"):
+        want = next(row["prism_count"] for row in rows if row["label"] == name)
+        assert enumerate_regular(prism_configuration(fixture(name))).count == want
 
 
 def test_square_flip_is_the_diagonal_circuit():
