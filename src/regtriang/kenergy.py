@@ -16,7 +16,13 @@ from functools import cached_property
 from itertools import combinations
 from math import factorial, lcm
 
-from .errors import CheckFailed, LinearityViolation, NonConvex, TriangulationMismatch
+from .errors import (
+    CheckFailed,
+    DimensionUnsupported,
+    LinearityViolation,
+    NonConvex,
+    TriangulationMismatch,
+)
 from .geometry import LatticePolytope, PointConfiguration
 from .linalg import det_int, lattice_length, scale_to_integers, solve_rational
 from .lp import max_eq_lp
@@ -24,6 +30,7 @@ from .polytopes import hurwitz_degree_formula
 from .triangulation import (
     Triangulation,
     _labels,
+    _walls,
     engine,
     height_subdivision,
     placing_triangulation,
@@ -47,9 +54,7 @@ class PLFunction:
     def __init__(self, config, heights, forms=None):
         self.config = config
         self.heights = tuple(Fraction(h) for h in heights)
-        self.forms = None if forms is None else tuple(
-            tuple(Fraction(x) for x in form) for form in forms
-        )
+        self.forms = None if forms is None else _affine_forms(config, forms)
         if len(self.heights) != len(config):
             raise ValueError("one height per configuration point")
         self._faithful = None
@@ -75,6 +80,8 @@ class PLFunction:
     def envelope(cls, config, heights):
         """Convexification: replace each height by its lower-hull value."""
         raw = tuple(Fraction(h) for h in heights)
+        if len(raw) != len(config):
+            raise ValueError("one height per configuration point")
         hull = tuple(
             _hull_value(config, raw, config.point(label))
             for label in config.labels()
@@ -84,7 +91,7 @@ class PLFunction:
     @classmethod
     def from_affine(cls, config, forms):
         """Pointwise max of affine forms (a1, ..., an, c)."""
-        forms = tuple(tuple(Fraction(x) for x in form) for form in forms)
+        forms = _affine_forms(config, forms)
         if not forms:
             raise ValueError("need at least one affine form")
         heights = [
@@ -164,6 +171,15 @@ class PLFunction:
             k * self(tuple(Fraction(x, k) for x in p)) for p in big.points
         ]
         return PLFunction(big, heights)
+
+
+def _affine_forms(config, forms):
+    """The forms as tuples of Fractions, each (a1, ..., an, c) with n = config.dim."""
+    forms = tuple(tuple(Fraction(x) for x in form) for form in forms)
+    for form in forms:
+        if len(form) != config.dim + 1:
+            raise ValueError(f"affine form {form} needs {config.dim + 1} entries (a1, ..., an, c)")
+    return forms
 
 
 def _affine_at(form, point):
@@ -276,27 +292,22 @@ def integral_over_Q(f, triangulation):
 
 
 def boundary_integral(f, triangulation):
-    """Exact integral of f over the boundary against the lattice measure.
+    """Exact integral of f over the boundary of a polygon, against the
+    lattice measure.
 
-    Each boundary edge contributes its lattice length times the average
-    of the endpoint values, which is the exact integral of a function
-    linear on the edge.
+    The boundary edges are the walls of exactly one cell. Each contributes
+    its lattice length times the average of the endpoint values, which is
+    the exact integral of a function linear on the edge.
     """
+    if f.config.dim != 2:
+        raise DimensionUnsupported("boundary integral implemented for polygons")
     _check_cells(f, triangulation, LinearityViolation)
-    seen = {}
-    for cell in triangulation.cells:
-        for i in range(len(cell)):
-            for j in range(i + 1, len(cell)):
-                edge = (cell[i], cell[j])
-                seen[edge] = seen.get(edge, 0) + 1
     total = Fraction(0)
-    for (a, b), count in seen.items():
-        if count == 1:
-            pa, pb = f.config.point(a), f.config.point(b)
-            length = lattice_length(pa, pb)
-            total += Fraction(length, 2) * (
-                f.value_at_label(a) + f.value_at_label(b)
-            )
+    for wall, cells in _walls(triangulation.masks).items():
+        if len(cells) == 1:
+            a, b = _labels(wall)
+            length = lattice_length(f.config.point(a), f.config.point(b))
+            total += Fraction(length, 2) * (f.value_at_label(a) + f.value_at_label(b))
     return total
 
 

@@ -1,12 +1,18 @@
 """Exact linear programming on integer data.
 
+Two entry points: `strict_feasible` decides strict systems row.g > 0,
+the question both regularity deciders ask (`Engine.regular_quick` on
+fold rows, `triangulation.is_regular` on cell-by-point rows), and
+`max_eq_lp` maximizes over {sum x_j cols[j] = b, x >= 0}, which gives
+K-energy its lower-hull values and the tests their reference LP.
+
 The tableau keeps integer entries with a shared positive denominator and
 pivots fraction-free, so every intermediate value is a minor of the input
 data. Bland's rule makes both phases terminate despite degeneracy. One
-phase-1 routine serves every equality-form solve. Certificates are read
-off the final tableau as integer numerators over its denominator and are
-checked in integers; `Fraction`s appear only at the API edge, in the
-values returned.
+phase-1 routine serves every solve. Certificates are read off the final
+tableau as integer numerators over its denominator and are checked in
+integers; `Fraction`s appear only at the API edge, in the values
+returned.
 """
 
 from fractions import Fraction
@@ -22,13 +28,15 @@ class _Tableau:
     is self.t scaled by 1/self.den; basic columns are unit columns.
     The objective row holds reduced costs: entering improves while some
     entry is positive. The current objective value is -t[0][-1]/den.
+    The start basis is the identity in the last len(rows) columns, the
+    artificial columns that _phase1 appends.
     """
 
-    def __init__(self, obj, rows, rhs, basis):
+    def __init__(self, obj, rows, rhs):
         self.t = [list(obj) + [0]] + [list(r) + [v] for r, v in zip(rows, rhs)]
         self.den = 1
-        self.basis = list(basis)
         self.ncols = len(self.t[0])
+        self.basis = list(range(self.ncols - 1 - len(rows), self.ncols - 1))
 
     def pivot(self, row, col):
         t = self.t
@@ -92,29 +100,6 @@ class _Tableau:
         return [Fraction(v, self.den) for v in self.numerators(nvars)]
 
 
-def max_lp(c, rows, rhs):
-    """Maximize c.x subject to rows.x <= rhs, x >= 0, all data integer.
-
-    Requires rhs >= 0 so the slack basis is feasible. Returns
-    (status, x, value) with exact Fractions.
-    """
-    m = len(rows)
-    n = len(c)
-    for v in rhs:
-        if v < 0:
-            raise ValueError("max_lp needs a nonnegative right-hand side")
-    ext_rows = []
-    for i, r in enumerate(rows):
-        slack = [0] * m
-        slack[i] = 1
-        ext_rows.append(list(r) + slack)
-    tab = _Tableau(list(c) + [0] * m, ext_rows, rhs, [n + i for i in range(m)])
-    status = tab.bland()
-    if status != "optimal":
-        return status, None, None
-    return "optimal", tab.solution(n), tab.objective_value()
-
-
 def _equality_rows(cols, b):
     """Rows of {sum_j x_j cols[j] = b} in integers with b >= 0.
 
@@ -132,7 +117,7 @@ def _equality_rows(cols, b):
     return rows, rhs
 
 
-def _phase1(rows, rhs, n):
+def _phase1(rows, rhs):
     """Phase 1 on {rows.x = rhs, x >= 0}: n integer columns, rhs >= 0.
 
     Artificial column n+i starts basic in row i; the objective, minus the
@@ -146,7 +131,7 @@ def _phase1(rows, rhs, n):
         art[i] = 1
         ext.append(list(r) + art)
     obj = [sum(col) for col in zip(*rows)] + [0] * m
-    tab = _Tableau(obj, ext, rhs, [n + i for i in range(m)])
+    tab = _Tableau(obj, ext, rhs)
     tab.t[0][-1] = sum(rhs)
     status = tab.bland()
     if status != "optimal":  # phase 1 objective is bounded above by 0
@@ -161,7 +146,7 @@ def eq_phase1(cols, b):
     system is feasible iff t[0][-1] == 0, and the caller reads its
     certificate in integers (see _phase1).
     """
-    return _phase1([[col[i] for col in cols] for i in range(len(b))], list(b), len(cols))
+    return _phase1([[col[i] for col in cols] for i in range(len(b))], list(b))
 
 
 def max_eq_lp(c, cols, b):
@@ -174,7 +159,7 @@ def max_eq_lp(c, cols, b):
     n = len(cols)
     c, c_scale = scale_to_integers([Fraction(x) for x in c])
     rows, rhs = _equality_rows(cols, b)
-    tab = _phase1(rows, rhs, n)
+    tab = _phase1(rows, rhs)
     if tab.t[0][-1] != 0:
         return "infeasible", None, None
     # drive leftover basic artificials out of the basis at level zero, so

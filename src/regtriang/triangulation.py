@@ -37,20 +37,7 @@ from .linalg import (
 )
 # max_eq_lp is not called here, but perfbench/layertrace.py looks it up as
 # `triangulation.max_eq_lp` to count the K-energy LPs, so the name stays
-from .lp import max_eq_lp, max_lp, strict_feasible
-
-
-class NotRegular:
-    """Falsy marker returned when no strictly convex heights exist."""
-
-    def __bool__(self):
-        return False
-
-    def __repr__(self):
-        return "NotRegular"
-
-
-NOT_REGULAR = NotRegular()
+from .lp import max_eq_lp, strict_feasible
 
 
 def _labels(mask):
@@ -395,52 +382,39 @@ def height_subdivision(config, heights):
 
 
 def is_regular(triangulation):
-    """Certified regularity: heights with strictly positive margin, or
-    the falsy NOT_REGULAR.
+    """Certified regularity: strictly convex heights, or None.
 
-    Solves the exact LP: variables are heights g in [-1, 1] and a margin
-    d; for every cell and every point off the cell, the lift of the point
-    must exceed the cell's affine interpolation by at least d; maximize d.
-    The triangulation is regular iff the optimum is positive, and the
-    returned heights are verified by reconstructing their subdivision.
+    For every cell and every point off it, the lift of the point must lie
+    strictly above the cell's affine interpolation. With the point's
+    barycentric coordinates c in the cell and den their common
+    denominator, that is the integer row den g_point - sum den c_l g_l > 0,
+    and `strict_feasible` decides all rows at once. No circuit is read,
+    so this decider is independent of `Engine.fold_rows`. Both answers
+    are certified: a rejection by the checked dual certificate, and the
+    heights by reconstructing their subdivision.
     """
     config = triangulation.config
-    eng = engine(config)
     m = len(config)
     rows = []
     for cell in triangulation.cells:
-        cmask = _mask(cell)
+        points = [config.point(l) for l in cell]
         for label in config.labels():
-            if cmask & (1 << (label - 1)):
+            if label in cell:
                 continue
-            coords = barycentric(eng.points_of(cmask), config.point(label))
+            coords = barycentric(points, config.point(label))
             if coords is None:  # a full-dimensional cell spans everything
                 raise CheckFailed(f"cell {cell} does not span point {label}")
             den = lcm(*(c.denominator for c in coords))
-            row = [0] * (m + 1)
+            row = [0] * m
             row[label - 1] = den
             for l, c in zip(cell, coords):
                 row[l - 1] -= int(c * den)
-            row[m] = -den  # ... - den * delta >= 0
             rows.append(row)
     if not rows:
         # every point is a vertex of the single cell; all heights work
         return _reconstructed(triangulation, tuple(Fraction(0) for _ in range(m)))
-    # to standard <= form with x = g + 1 in [0, 2]: coefficient sums over
-    # g-entries are zero, so the substitution leaves row values unchanged
-    ineq = [[-v for v in row] for row in rows]
-    for i in range(m):
-        box = [0] * (m + 1)
-        box[i] = 1
-        ineq.append(box)
-    rhs = [0] * len(rows) + [2] * m
-    obj = [0] * m + [1]
-    status, x, delta = max_lp(obj, ineq, rhs)
-    if status != "optimal":
-        raise CheckFailed(f"regularity LP ended {status}")
-    if delta <= 0:
-        return NOT_REGULAR
-    return _reconstructed(triangulation, tuple(xi - 1 for xi in x[:m]))
+    ok, heights, _ = strict_feasible(rows)
+    return _reconstructed(triangulation, heights) if ok else None
 
 
 def _reconstructed(triangulation, heights):

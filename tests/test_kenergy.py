@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 from regtriang import kenergy
 from regtriang.errors import (
     CheckFailed,
+    DimensionUnsupported,
     LinearityViolation,
     NonConvex,
     TriangulationMismatch,
 )
 from regtriang.fixtures import fixture
 from regtriang.geometry import PointConfiguration
+from regtriang.prism import prism_configuration
 from regtriang.kenergy import (
     PLFunction,
     boundary_integral,
@@ -80,6 +82,32 @@ def test_boundary_examples():
     aff = PLFunction.from_affine(HEXAGON, [(1, 2, 0)])
     ta, _ = induced_triangulation(aff)
     assert boundary_integral(aff, ta) == 0
+
+
+def test_boundary_integral_is_planar_only():
+    cube = prism_configuration(fixture("square"))
+    one = PLFunction.from_affine(cube, [(0, 0, 0, 1)])
+    with pytest.raises(DimensionUnsupported):
+        boundary_integral(one, one.refinement)
+
+
+def test_envelope_needs_one_height_per_point(monkeypatch):
+    def no_lp(*args):
+        raise AssertionError("LP solved")
+
+    monkeypatch.setattr(kenergy, "_hull_value", no_lp)
+    for heights in ([1, 2, 3], [0] * 8):
+        with pytest.raises(ValueError, match="one height per configuration point"):
+            PLFunction.envelope(fixture("hexagon"), heights)
+
+
+@pytest.mark.parametrize("form", [(1, 0), (1, 0, 0, 0)], ids=["short", "long"])
+def test_affine_forms_need_one_entry_per_coordinate_and_a_constant(form):
+    hexagon = fixture("hexagon")
+    with pytest.raises(ValueError, match="needs 3 entries"):
+        PLFunction.from_affine(hexagon, [(0, 0, 1), form])
+    with pytest.raises(ValueError, match="needs 3 entries"):
+        PLFunction(hexagon, [0] * 7, [form])
 
 
 def test_square_height_example_both_routes():

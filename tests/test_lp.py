@@ -7,7 +7,18 @@ import pytest
 
 from regtriang import lp
 from regtriang.errors import CheckFailed
-from regtriang.lp import eq_phase1, max_eq_lp, max_lp, strict_feasible
+from regtriang.lp import eq_phase1, max_eq_lp, strict_feasible
+
+
+def max_lp(c, rows, rhs):
+    """max c.x over {rows.x <= rhs, x >= 0}, posed to max_eq_lp with one
+    explicit slack column per row; returns (status, x, value) for the
+    original variables."""
+    m, n = len(rows), len(c)
+    cols = [[r[j] for r in rows] for j in range(n)]
+    cols += [[int(i == k) for k in range(m)] for i in range(m)]
+    status, x, value = max_eq_lp(list(c) + [0] * m, cols, rhs)
+    return status, None if x is None else x[:n], value
 
 
 def test_max_lp_simple():

@@ -7,7 +7,15 @@ import pytest
 from regtriang.enumeration import enumerate_regular
 from regtriang.errors import DimensionUnsupported
 from regtriang.geometry import PointConfiguration
-from regtriang.triangulation import NOT_REGULAR, Triangulation, engine, flip, is_regular
+from regtriang.triangulation import (
+    Engine,
+    Triangulation,
+    engine,
+    flip,
+    is_regular,
+    placing_triangulation,
+    supported_flips,
+)
 from regtriang.weights import eta_k, hurwitz_vector
 from regtriang.prism import (
     find_cubic_mixed,
@@ -138,15 +146,16 @@ def test_vertical_fold_identities_by_point_class():
                 assert got == want, (config.points, t.encode(), i)
 
 
-def test_twisted_refinement_is_nonregular_but_folds_the_same():
-    # base whose interior edges (2,4), (4,6), (2,6) form a 3-cycle, so the
-    # per-prism staircases below cannot come from one global vertex order
+def twisted_refinement():
+    """A regular hexagon triangulation and a non-regular refinement of
+    its vertical prism triangulation.
+
+    The base's interior edges (2,4), (4,6), (2,6) form a 3-cycle, so the
+    per-prism staircases below cannot come from one global vertex order.
+    """
     base = Triangulation(
         HEXAGON, [(2, 3, 4), (4, 5, 6), (2, 6, 7), (1, 2, 4), (1, 4, 6), (1, 2, 6)]
     )
-    base.validate()
-    assert is_regular(base)
-
     pr = prism_configuration(HEXAGON)
     m = pr.base_size
     orders = {
@@ -162,10 +171,34 @@ def test_twisted_refinement_is_nonregular_but_folds_the_same():
         cells.append((x1, x2, x3, x3 + m))
         cells.append((x1, x2, x2 + m, x3 + m))
         cells.append((x1, x1 + m, x2 + m, x3 + m))
-    twisted = Triangulation(pr, cells)
+    return base, Triangulation(pr, cells)
+
+
+def test_twisted_refinement_is_nonregular_but_folds_the_same():
+    base, twisted = twisted_refinement()
+    base.validate()
+    assert is_regular(base)
     twisted.validate()
-    assert is_regular(twisted) is NOT_REGULAR
+    assert is_regular(twisted) is None
     assert nu_vector(twisted).values == hurwitz_vector(base).values
+
+
+def test_cell_by_point_decider_reads_no_circuit(monkeypatch):
+    # the test oracle must stay independent of the fold rows, which are
+    # built from circuits: with circuit_of gone it still agrees with them
+    targets = []
+    for config in (SQUARE, HEXAGON, VERONESE):
+        t = placing_triangulation(config)
+        targets += [t] + [flip(t, c) for c in supported_flips(t)]
+    targets.append(twisted_refinement()[1])
+    quick = [engine(t.config).regular_quick(t.masks)[0] for t in targets]
+    assert not quick[-1] and all(quick[:-1])
+
+    def no_circuit(*args):
+        raise AssertionError("circuit read")
+
+    monkeypatch.setattr(Engine, "circuit_of", no_circuit)
+    assert [is_regular(t) is not None for t in targets] == quick
 
 
 def test_fold_sum_is_twice_the_hurwitz_degree():

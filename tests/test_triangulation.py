@@ -23,7 +23,6 @@ from regtriang.linalg import barycentric, rank_int
 from regtriang.lp import strict_feasible
 from regtriang.prism import prism_configuration
 from regtriang.triangulation import (
-    NOT_REGULAR,
     Engine,
     Triangulation,
     engine,
@@ -79,11 +78,6 @@ def test_square_triangulations_validate_and_are_regular():
         assert t.validate()
         heights = is_regular(t)
         assert heights  # truthy tuple of certified heights
-
-
-def test_not_regular_value_is_falsy():
-    assert not NOT_REGULAR
-    assert bool(NOT_REGULAR) is False
 
 
 def test_a_label_below_one_is_a_degenerate_simplex():
@@ -361,8 +355,25 @@ def test_pinwheels_are_not_regular():
     for cells in PINWHEELS:
         t = Triangulation(NESTED, cells)
         assert t.validate()
-        assert is_regular(t) is NOT_REGULAR
+        assert is_regular(t) is None
         assert eng.regular_quick(t.masks)[0] is False
+
+
+def test_a_lying_tableau_cannot_make_a_regular_triangulation_non_regular(monkeypatch):
+    # a tableau that reports a zero optimum claims the dual is feasible;
+    # the rejection is checked, so the claim fails instead of answering
+    real = lp._Tableau.bland
+
+    def lying(self):
+        status = real(self)
+        self.t[0] = [0] * len(self.t[0])
+        return status
+
+    t = placing_triangulation(fixture("hexagon"))
+    assert is_regular(t)
+    monkeypatch.setattr(lp._Tableau, "bland", lying)
+    with pytest.raises(CheckFailed):
+        is_regular(t)
 
 
 def test_pinwheel_rejections_carry_a_convex_dependence_of_fold_rows():
