@@ -6,10 +6,20 @@ flip neighbor of the frontier is generated serially, the regularity
 decisions run in sorted order (optionally across a worker pool), and the
 accepted triangulations form the next frontier, so the result is the same
 for any worker count. A triangulation is encoded once, when accepted;
-encodings are decoded only when a checkpoint resumes. Visited and rejected
-triangulations are kept as 96-bit blake2b digests of the mask tuple, on the
-assumption that no two share one (odds about n^2 / 2^97 for n
-triangulations, below 10^-17 for a million).
+encodings are decoded only when a checkpoint resumes.
+
+A frontier entry carries what its decision computed: its mask tuple, its
+distinct circuits (shared Circuit objects), which its expansion reads
+instead of building the list again, and its primitive integer heights.
+A candidate keeps references to the heights of the first parent that
+reached it and to the circuit flipped, the hint `regular_quick` tries
+before its LP. Entries decided by pool workers, which return only their
+verdict, and entries read back from a checkpoint, which holds no heights,
+carry neither: a resumed run re-derives one level's heights by LP.
+
+Visited and rejected triangulations are kept as 96-bit blake2b digests of
+the mask tuple, on the assumption that no two share one (odds about
+n^2 / 2^97 for n triangulations, below 10^-17 for a million).
 """
 
 import multiprocessing
@@ -28,7 +38,14 @@ from .errors import (
     VolumeMismatch,
 )
 from .geometry import PointConfiguration
-from .triangulation import Triangulation, engine, flip, placing_triangulation, supported_flips
+from .triangulation import (
+    Triangulation,
+    distinct_circuits,
+    engine,
+    flip,
+    placing_triangulation,
+    supported_flips,
+)
 
 DEFAULT_BUDGET = 2_000_000
 
@@ -44,10 +61,21 @@ def _digest(masks):
     return blake2b(repr(masks).encode(), digest_size=12).digest()
 
 
-def _neighbor_encodings(config, masks):
-    """Mask tuples of the flip neighbors, one per supported flip."""
+def _neighbor_encodings(config, masks, circuits=None):
+    """(mask tuple, flipped circuit) of each flip neighbor, one per
+    supported flip; `circuits` as for supported_flips."""
     t = Triangulation.from_masks(config, masks)
-    return [flip(t, circ).masks for circ in supported_flips(t)]
+    return [(flip(t, circ).masks, circ) for circ in supported_flips(t, circuits)]
+
+
+def _decisions(eng, todo):
+    """(ok, distinct circuits, heights) of each (masks, hint) in turn: one
+    circuit list per candidate serves its decision and, if it is
+    accepted, its expansion."""
+    for masks, hint in todo:
+        circuits = eng.circuits(masks)
+        ok, heights = eng.regular_quick(masks, circuits, hint)
+        yield ok, distinct_circuits(circuits) if ok else None, heights
 
 
 _WORKER = {}
@@ -64,11 +92,20 @@ def _decide(masks):
 def _record_masks(config, enc, path):
     """Cell masks of a checkpointed encoding, which must be the canonical
     encoding of a triangulation (Triangulation.validate, which solves no
-    LP). Its regularity is trusted, not certified again."""
+    LP). Canonical is checked while parsing: each label spelled as
+    str(int), labels ascending in each cell, cells ascending. Its
+    regularity is trusted, not certified again."""
     try:
-        t = Triangulation.decode(config, enc) if isinstance(enc, str) else None
-        if t is not None and t.encode() == enc and t.validate():
-            return t.masks
+        if isinstance(enc, str):
+            cells = [tuple(map(int, part.split(","))) for part in enc.split(";")]
+            if (
+                ";".join(",".join(map(str, c)) for c in cells) == enc
+                and all(a < b for c in cells for a, b in zip(c, c[1:]))
+                and all(a < b for a, b in zip(cells, cells[1:]))
+            ):
+                t = Triangulation(config, cells)
+                if t.validate():
+                    return t.masks
     except (ValueError, DegenerateSimplex, VolumeMismatch, OverlapNotFace):
         pass
     raise CheckpointCorrupt(f"{path}: {enc!r} is not a triangulation encoding")
@@ -134,7 +171,9 @@ def enumerate_regular(
         if state.done:
             return EnumerationResult(count, True, encodings)
         split = state.closed - state.opened
-        frontier = [tuple(map(eng.cell_masks.setdefault, m, m)) for m in tail[:split]]
+        frontier = [
+            (tuple(map(eng.cell_masks.setdefault, m, m)), None, None) for m in tail[:split]
+        ]
         partial = {_digest(m) for m in tail[split:]}
         level = state.level
         writer = CheckpointWriter(
@@ -148,12 +187,13 @@ def enumerate_regular(
                 params={"budget": budget, "jobs": jobs},
             )
         seed = placing_triangulation(config)
-        if not eng.regular_quick(seed.masks)[0]:
+        ok, circuits, heights = next(_decisions(eng, [(seed.masks, None)]))
+        if not ok:
             raise CheckFailed(f"placing triangulation {seed.encode()} not certified regular")
         accept(seed.masks, seed.encode())
         if writer:
             writer.commit(0, count)
-        frontier = [seed.masks]
+        frontier = [(seed.masks, circuits, heights)]
         level = 0
         partial = set()
 
@@ -164,24 +204,26 @@ def enumerate_regular(
         while frontier:
             next_frontier = []
             cand = {}
-            for masks in frontier:
-                for nb in _neighbor_encodings(config, masks):
+            for masks, circuits, heights in frontier:
+                for nb, circ in _neighbor_encodings(config, masks, circuits):
                     d = _digest(nb)
                     if d in partial:  # accepted before the interruption: not decided again
                         partial.remove(d)
-                        next_frontier.append(nb)
-                    elif d not in visited and d not in rejected:
-                        cand[d] = nb
-            todo = sorted(cand.values())
+                        next_frontier.append((nb, None, None))
+                    elif d not in visited and d not in rejected and d not in cand:
+                        # the hint of the first parent to reach it
+                        cand[d] = (nb, None if heights is None else (heights, circ))
+            todo = sorted(cand.values(), key=lambda entry: entry[0])
             if pool and len(todo) >= jobs * 4:
                 chunk = max(1, len(todo) // (jobs * 8))
-                decisions = pool.map(_decide, todo, chunksize=chunk)
+                oks = pool.map(_decide, [masks for masks, _ in todo], chunksize=chunk)
+                decisions = ((ok, None, None) for ok in oks)
             else:
-                decisions = [eng.regular_quick(masks)[0] for masks in todo]
-            for masks, ok in zip(todo, decisions):
+                decisions = _decisions(eng, todo)
+            for (masks, _), (ok, circuits, heights) in zip(todo, decisions):
                 if ok:
                     accept(masks, Triangulation.from_masks(config, masks).encode())
-                    next_frontier.append(masks)
+                    next_frontier.append((masks, circuits, heights))
                 else:
                     rejected.add(_digest(masks))
             partial = set()

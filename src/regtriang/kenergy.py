@@ -101,6 +101,8 @@ class PLFunction:
         return cls(config, heights, forms)
 
     def __call__(self, point):
+        if len(point) != self.config.dim:
+            raise ValueError(f"point {point} is not in {self.config.dim} dimensions")
         if self.forms is not None:
             return max(_affine_at(form, point) for form in self.forms)
         return _hull_value(self.config, self.heights, point)

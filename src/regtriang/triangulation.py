@@ -11,6 +11,18 @@ Fold rows and flips read one circuit list per triangulation,
 `Engine.circuits`: the circuit of the two cells across each interior
 wall, and of each unused point with the cell that holds it. Each is a
 wall inequality of the secondary cone, and each may support a flip.
+A caller that holds the list passes it on, to `regular_quick` (and so
+`fold_rows`) and, de-duplicated (`distinct_circuits`), to
+`supported_flips`, which finds each circuit's present side once and
+leaves it on the triangulation for `flip`.
+
+A flip crosses one wall of the secondary fan (GKZ; De Loera-Rambau-Santos,
+*Triangulations*, ch. 5), so the strictly convex heights of the
+triangulation it came from, moved along that wall's normal, usually
+certify the new one. `regular_quick` takes such a hint, (heights,
+circuit), and tries it before any LP; heights it certifies are checked
+on every fold row in integers, and `strict_feasible` runs only when the
+hint fails.
 """
 
 import weakref
@@ -32,6 +44,7 @@ from .linalg import (
     affine_dependence,
     barycentric,
     normalized_simplex_volume,
+    primitive,
     rank_int,
     scale_to_integers,
 )
@@ -78,6 +91,10 @@ class Circuit:
 class Triangulation:
     """A set of maximal simplices on a configuration, held as the sorted
     tuple of their cell bitmasks; the 1-based label view is derived."""
+
+    # present sides of the supported flips by circuit support, left by
+    # supported_flips for flip
+    _sides = None
 
     def __init__(self, config, cells):
         self.config = config
@@ -263,6 +280,21 @@ class Engine:
         fixed = {l - 1 for l in self.frame}
         return tuple(i for i in range(self.m) if i not in fixed)
 
+    @cached_property
+    def _frame_coords(self):
+        """(D, columns): for each frame label f, D times the affine
+        coordinate on f of each free column's point, as ints, with D > 0
+        their common denominator. The circuit of the frame and a point p
+        gives them: c_p p + sum_f c_f f = 0 puts p at -c_f / c_p on f."""
+        frame = _mask(self.frame)
+        free = self._free_columns
+        deps = [dict(self.circuit_of(frame | 1 << i).coeffs) for i in free]
+        den = lcm(*(dep[i + 1] for i, dep in zip(free, deps)))
+        return den, {
+            f: [-dep.get(f, 0) * (den // dep[i + 1]) for i, dep in zip(free, deps)]
+            for f in self.frame
+        }
+
     def wall_circuits(self, walls):
         """(circuit of its two cells, apex label) for each wall of `walls`
         (see _walls) held by two cells, in order; the apex is the first
@@ -306,17 +338,20 @@ class Engine:
             out.append((self.circuit_of(host | (1 << i)), i + 1))
         return out
 
-    def fold_rows(self, masks):
+    def fold_rows(self, masks, circuits=None):
         """Integer rows r with r.g > 0 for all rows iff heights g induce T.
 
-        One row per circuit of the cells (see circuits), signed positive
-        at its apex: local convexity of the fold across an interior wall,
-        or an unused point lifted strictly above its cell. Each row is an
-        affine dependence of the points, given without the frame's
-        columns. Raises CheckFailed as circuits does.
+        One row per circuit of the cells (see circuits; pass their list if
+        it is at hand), signed positive at its apex: local convexity of the
+        fold across an interior wall, or an unused point lifted strictly
+        above its cell. Each row is an affine dependence of the points,
+        given without the frame's columns. Raises CheckFailed as circuits
+        does.
         """
+        if circuits is None:
+            circuits = self.circuits(masks)
         rows = []
-        for circ, apex in self.circuits(masks):
+        for circ, apex in circuits:
             sign = 1 if circ.plus & (1 << (apex - 1)) else -1
             row = [0] * self.m
             for l, c in circ.coeffs:
@@ -325,21 +360,111 @@ class Engine:
         free = self._free_columns
         return [[row[i] for i in free] for row in rows]
 
-    def regular_quick(self, masks):
+    def regular_quick(self, masks, circuits=None, hint=None):
         """Fast regularity decision via strict wall-fold feasibility.
 
-        Returns (True, heights) with heights 0 on the frame, or
-        (False, None).
+        `circuits` is `self.circuits(masks)`, if the caller has it. `hint`
+        is (heights, circuit): heights returned for a triangulation that
+        `masks` is one flip away from, across that circuit. It is tried
+        first (see _across_wall) and may be wrong: what it yields counts
+        only once every fold row is checked positive on it in integers.
+        Otherwise `strict_feasible` decides on `fold_rows`, and a rejection
+        carries its checked dual certificate. Returns (True, heights),
+        primitive integer heights that are 0 on the frame, or (False, None).
         """
-        heights = [Fraction(0)] * self.m
-        rows = self.fold_rows(masks)
+        if circuits is None:
+            circuits = self.circuits(masks)
+        if hint is not None:
+            heights = self._across_wall(circuits, *hint)
+            if heights is not None:
+                return True, heights
+        heights = [0] * self.m
+        rows = self.fold_rows(masks, circuits)
         if rows:
             ok, g, _ = strict_feasible(rows)
             if not ok:
                 return False, None
-            for i, x in zip(self._free_columns, g):
+            for i, x in zip(self._free_columns, primitive(scale_to_integers(g)[0])):
                 heights[i] = x
         return True, tuple(heights)
+
+    def _across_wall(self, circuits, heights, circ):
+        """Heights g' = g - t R on which every fold row is positive, or None.
+
+        g is `heights` with the frame's entries set to 0. R is the
+        circuit's dependence read as heights, minus the affine function
+        that agrees with it on the frame, times D (see _frame_coords): R is
+        0 on the frame, and every row takes D times its value on the
+        dependence, since rows vanish on affine functions. So g' is 0 on
+        the frame, and each row r bounds t through a = r.g and b = r.R:
+        a - t b > 0. t = p/q is the simplest rational in the open interval
+        the bounds leave, g' is q g - p R divided by its gcd, and every
+        row is then checked on g'. The rows are read off the (circuit,
+        apex) pairs `circuits`, as fold_rows reads them.
+        """
+        den, columns = self._frame_coords
+        g = list(heights)
+        for f in self.frame:
+            g[f - 1] = 0
+        direction = [0] * self.m
+        for l, c in circ.coeffs:
+            if l in columns:
+                for i, x in zip(self._free_columns, columns[l]):
+                    direction[i] -= x * c
+            else:
+                direction[l - 1] += den * c
+        # each row as its circuit's coefficients and its sign at the apex
+        rows = [(c.coeffs, 1 if c.plus >> (apex - 1) & 1 else -1) for c, apex in circuits]
+        lo = hi = None  # t > lo and t < hi, each as (num, den) with den > 0
+        for coeffs, sign in rows:
+            a = b = 0
+            for l, c in coeffs:
+                a += c * g[l - 1]
+                b += c * direction[l - 1]
+            a, b = sign * a, sign * b
+            if b > 0:
+                if hi is None or a * hi[1] < hi[0] * b:
+                    hi = (a, b)
+            elif b < 0:
+                if lo is None or a * lo[1] < lo[0] * b:
+                    lo = (-a, -b)
+            elif a <= 0:
+                return None
+        if lo is not None and hi is not None and lo[0] * hi[1] >= hi[0] * lo[1]:
+            return None
+        p, q = _simplest_between(lo, hi)
+        moved = primitive([q * x - p * y for x, y in zip(g, direction)])
+        for coeffs, sign in rows:
+            value = 0
+            for l, c in coeffs:
+                value += c * moved[l - 1]
+            if sign * value <= 0:
+                return None
+        return moved
+
+
+def _simplest_between(lo, hi):
+    """The simplest rational p/q in the open interval (lo, hi), as (p, q)
+    with q > 0: least q, then least |p|. The ends are (num, den) pairs
+    with den > 0, lo < hi; None is an infinite end."""
+    if (lo is None or lo[0] < 0) and (hi is None or hi[0] > 0):
+        return 0, 1
+    if lo is None or lo[0] < 0:  # the interval lies below 0: mirror it
+        p, q = _simplest_above(-hi[0], hi[1], *((1, 0) if lo is None else (-lo[0], lo[1])))
+        return -p, q
+    return _simplest_above(*lo, *(hi or (1, 0)))
+
+
+def _simplest_above(ln, ld, hn, hd):
+    """_simplest_between for 0 <= ln/ld < hn/hd, where hd = 0 is infinity."""
+    n = ln // ld + 1
+    if hd == 0 or n * hd < hn:
+        return n, 1
+    # both ends lie in [f, f + 1]: the answer is f + 1/s, for s the simplest
+    # rational between the reciprocals of their fractional parts
+    f = n - 1
+    p, q = _simplest_above(hd, hn - f * hd, ld, ln - f * ld)
+    return f * p + q, p
 
 
 # Live engines, for instrumentation only. The values are weak: an engine
@@ -437,24 +562,40 @@ def placing_triangulation(config, order=None):
     return Triangulation.from_masks(config, cells)
 
 
-def supported_flips(triangulation):
-    """All circuits currently supporting a flip, in canonical order."""
+def distinct_circuits(pairs):
+    """The circuits of Engine.circuits' (circuit, apex) pairs, each once."""
+    return tuple({c.support: c for c, _ in pairs}.values())
+
+
+def supported_flips(triangulation, circuits=None):
+    """All circuits currently supporting a flip, in canonical order.
+
+    `circuits` are the triangulation's distinct circuits, if the caller
+    has them (see distinct_circuits). The present side found for each is
+    left on the triangulation, so flip does not look for it again.
+    """
     masks = triangulation.masks
-    circuits = {c.support: c for c, _ in engine(triangulation.config).circuits(masks)}
-    out = [c for c in circuits.values() if _present_side(masks, c) is not None]
-    return sorted(out, key=lambda c: _labels(c.support))
+    if circuits is None:
+        circuits = distinct_circuits(engine(triangulation.config).circuits(masks))
+    cellset = set(masks)
+    sides = triangulation._sides = {}
+    for c in circuits:
+        side = _present_side(masks, c, cellset)
+        if side is not None:
+            sides[c.support] = side
+    return sorted((c for c in circuits if c.support in sides), key=lambda c: _labels(c.support))
 
 
-def _present_side(masks, circ):
+def _present_side(masks, circ, cellset):
     """The side of the circuit present in T as (taus, link, new), or None.
 
     T holds every cell tau | lam, for tau the support minus one point of
     one side and lam in the link; the flip replaces them by the cells
     made with the points of the other side, `new` (a mask). The plus
-    side (cells using all of circ.plus) is tried first.
+    side (cells using all of circ.plus) is tried first. `cellset` is
+    set(masks).
     """
     smask = circ.support
-    cellset = set(masks)
     for old, new in ((circ.minus, circ.plus), (circ.plus, circ.minus)):
         taus = [smask ^ (1 << i) for i in bit_indices(old)]
         tau0 = taus[0]
@@ -471,12 +612,15 @@ def _present_side(masks, circ):
 def flip(triangulation, circuit):
     """Apply the circuit flip; UnsupportedFlip if it does not apply."""
     eng = engine(triangulation.config)
-    side = _present_side(triangulation.masks, circuit)
+    masks = triangulation.masks
+    side = (triangulation._sides or {}).get(circuit.support) or _present_side(
+        masks, circuit, set(masks)
+    )
     if side is None:
         raise UnsupportedFlip(f"{circuit} is not supported")
     taus, link, new = side
     old_cells = {tau | lam for tau in taus for lam in link}
-    result = [c for c in triangulation.masks if c not in old_cells]
+    result = [c for c in masks if c not in old_cells]
     # no link mask meets the support, so the new cells are distinct
     new_cells = [(circuit.support ^ (1 << i)) | lam for i in bit_indices(new) for lam in link]
     result.extend(eng.cell_masks.setdefault(c, c) for c in new_cells)

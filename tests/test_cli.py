@@ -400,16 +400,27 @@ def test_checkpoint_corrupt_exits_4(tmp_path, capsys):
     assert report["error"]["type"] == "CheckpointCorrupt"
 
 
-@pytest.mark.parametrize("enc", ["1,2,99", "1,2,x", 7, "0,1,2;1,3,4"])
+# the hexagon's first record after its seed, as the checkpoint spells it
+LEVEL_ONE = "1,2,3;1,2,7;1,3,4;1,4,5;1,5,6;1,6,7"
+
+
+@pytest.mark.parametrize(
+    "enc",
+    ["1,2,99", "1,2,x", 7, "0,1,2;1,3,4"]
+    + [LEVEL_ONE.replace("1", label, 1) for label in ("01", " 1", "+1", "1_0", "0_1")],
+)
 def test_checkpoint_malformed_record_exits_4(tmp_path, capsys, enc):
     # [TRIVIAL] a record that encodes no triangulation is corruption,
-    # whether it parses (labels out of range, above N or below 1) or not.
+    # whether it parses (labels out of range, above N or below 1) or not,
+    # and so is a triangulation whose label int() reads but str() would
+    # not spell that way.
     ck = tmp_path / "ck.jsonl"
     command = ["triang", "enumerate", "hexagon", "--count-only", "--checkpoint", str(ck)]
     code, _ = run_json(command, capsys)
     assert code == 0
     lines = ck.read_text().splitlines()
     level_one = [i for i, line in enumerate(lines) if json.loads(line).get("t") == "v"][1]
+    assert json.loads(lines[level_one])["enc"] == LEVEL_ONE
     lines[level_one] = json.dumps({"t": "v", "enc": enc})
     ck.write_text("\n".join(lines) + "\n")
     code, report = run_json(command, capsys)

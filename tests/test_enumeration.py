@@ -9,11 +9,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import regtriang
+from regtriang import triangulation
 
 from regtriang.checkpoint import read_checkpoint
 from regtriang.enumeration import enumerate_regular
 from regtriang.errors import BudgetExceeded, CheckpointCorrupt, DigestMismatch
+from regtriang.fixtures import fixture
 from regtriang.geometry import PointConfiguration
+from regtriang.prism import prism_configuration
 from regtriang.triangulation import (
     Triangulation,
     engine,
@@ -445,15 +448,60 @@ def test_count_matches_the_brute_force_oracle(config):
 @settings(max_examples=50, deadline=None)
 @given(_planar())
 def test_flips_undo_and_quick_regularity_agrees(config):
+    # each neighbour is decided alone and with its parent's hint
     eng = engine(config)
     for enc in enumerate_regular(config, collect=True).encodings:
         t = Triangulation.decode(config, enc)
+        _, parent = eng.regular_quick(t.masks)
         for circ in supported_flips(t):
             nb = flip(t, circ)
             assert flip(nb, circ).encode() == enc
-            ok, heights = eng.regular_quick(nb.masks)
-            assert ok == bool(is_regular(nb))
-            if ok:  # the heights are 0 on the frame and rebuild nb
-                assert all(heights[l - 1] == 0 for l in eng.frame)
-                rebuilt = lower_hull_subdivision(config.points, heights)
-                assert sorted(rebuilt) == sorted(nb.masks)
+            regular = bool(is_regular(nb))
+            for hint in (None, (parent, circ)):
+                ok, heights = eng.regular_quick(nb.masks, hint=hint)
+                assert ok == regular
+                if ok:  # the heights are 0 on the frame and rebuild nb
+                    assert all(heights[l - 1] == 0 for l in eng.frame)
+                    rebuilt = lower_hull_subdivision(config.points, heights)
+                    assert sorted(rebuilt) == sorted(nb.masks)
+
+
+def _stream(config, **kwargs):
+    streamed = []
+    enumerate_regular(config, on_accept=streamed.append, **kwargs)
+    return streamed
+
+
+def counted_lp(monkeypatch):
+    """A list that grows by one for every strict_feasible call of the decider."""
+    calls = []
+    real = triangulation.strict_feasible
+
+    def counted(rows):
+        calls.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(triangulation, "strict_feasible", counted)
+    return calls
+
+
+def test_the_stream_is_the_same_when_no_hint_certifies(monkeypatch):
+    # hints only spare LPs: with the certifier failing every time, every
+    # decision goes to strict_feasible, and the encodings do not change
+    config = prism_configuration(fixture("4b"))
+    hinted = _stream(config)
+    calls = counted_lp(monkeypatch)
+    monkeypatch.setattr(triangulation.Engine, "_across_wall", lambda self, *hint: None)
+    assert _stream(config) == hinted
+    assert len(calls) == 1326  # the seed and 1,325 flip candidates
+    assert _stream(config, jobs=2) == hinted
+    assert len(hinted) == 1270
+
+
+def test_most_decisions_on_the_4b_prism_need_no_lp(monkeypatch):
+    # the seed and 1,325 flip candidates are decided, 1,270 accepted; the
+    # 56 rejections are the LP's, and the parents' heights certify most
+    # of the rest
+    calls = counted_lp(monkeypatch)
+    assert enumerate_regular(prism_configuration(fixture("4b"))).count == 1270
+    assert 56 <= len(calls) < 1325 // 2

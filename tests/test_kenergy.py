@@ -110,6 +110,16 @@ def test_affine_forms_need_one_entry_per_coordinate_and_a_constant(form):
         PLFunction(hexagon, [0] * 7, [form])
 
 
+@pytest.mark.parametrize("point", [(1,), (1, 5, 7)], ids=["short", "long"])
+def test_a_point_of_the_wrong_dimension_is_refused_on_both_routes(point):
+    hexagon = fixture("hexagon")
+    f = PLFunction.from_affine(hexagon, [(1, 0, 0), (0, 1, 0)])
+    for route in (f, PLFunction(hexagon, f.heights)):
+        assert route((1, 0)) == 1
+        with pytest.raises(ValueError, match="not in 2 dimensions"):
+            route(point)
+
+
 def test_square_height_example_both_routes():
     f = PLFunction.from_heights(SQUARE, [0, 1, 0, 1])
     t, _ = induced_triangulation(f)

@@ -182,3 +182,45 @@ def test_traced_pool_run_matches_the_untraced_one():
     assert report["count"] == 1270
     assert report["same"]
     assert report["worker_pivots"] > 0
+
+
+_TRACED_SERIAL = """
+import json, sys
+sys.path[:0] = sys.argv[1:]
+import layertrace
+from regtriang.enumeration import enumerate_regular
+from regtriang.fixtures import fixture
+from regtriang.prism import prism_configuration
+
+def run():
+    return enumerate_regular(prism_configuration(fixture("4b")), collect=True).encodings
+
+plain = run()
+tracer = layertrace.Tracer()
+layertrace.install(tracer)
+tracer.active = True
+traced = run()
+tracer.active = False
+print(json.dumps({"same": traced == plain, "metrics": layertrace.layer_metrics(tracer, 1)}))
+"""
+
+
+def test_traced_serial_run_counts_every_decision_in_regular_quick():
+    # the tracer counts enumeration.decided/.accepted on Engine.regular_quick,
+    # so every serial decision, certified by a parent's heights or by the LP,
+    # must go through it
+    src = str(Path(regtriang.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", _TRACED_SERIAL, str(PERFBENCH), src],
+        capture_output=True, text=True, check=True,
+    )
+    report = json.loads(out.stdout.splitlines()[-1])
+    assert report["same"]
+    metrics = report["metrics"]
+    # the seed and 1,325 flip candidates
+    assert metrics["enumeration.decided"] == 1326
+    assert metrics["enumeration.accepted"] == 1270
+    assert metrics["triangulation.flips"] == metrics["enumeration.candidates"] > 0
+    assert 0 < metrics["lp.strict_feasible_calls"] < 1325 / 2
+    for layer in ("supported_flips_s", "flip_s", "fold_rows_s"):
+        assert metrics[f"triangulation.{layer}"] > 0

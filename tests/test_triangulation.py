@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import weakref
 from fractions import Fraction
@@ -7,9 +8,12 @@ from operator import or_
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from regtriang.enumeration import enumerate_regular
 from regtriang.errors import (
+    BudgetExceeded,
     CheckFailed,
     DegenerateSimplex,
     OverlapNotFace,
@@ -35,6 +39,7 @@ from regtriang.triangulation import (
 )
 
 from oracles import fold_rows, meet_in_common_face, pairwise_verdict, placing_cells
+from test_enumeration import counted_lp
 
 SQUARE = PointConfiguration([(0, 0), (1, 0), (1, 1), (0, 1)])
 
@@ -421,6 +426,127 @@ def test_fold_rows_are_affine_dependences_and_heights_rebuild(config):
         assert ok
         assert all(heights[l - 1] == 0 for l in frame)
         assert sorted(lower_hull_subdivision(config.points, heights)) == sorted(t.masks)
+
+
+@pytest.mark.parametrize("name", ["4b", "5a", "hexagon"])
+def test_hinted_decisions_on_prisms_agree_with_is_regular(name, monkeypatch):
+    # a sample of parents from the first BFS levels; every flip neighbour
+    # is decided with the parent's heights and the flipped circuit
+    config = prism_configuration(fixture(name))
+    eng = engine(config)
+    found = []
+    with pytest.raises(BudgetExceeded):
+        enumerate_regular(config, budget=40, on_accept=found.append)
+    lp_calls = counted_lp(monkeypatch)
+    accepted = certified = 0
+    for enc in found[:: len(found) // 6][:6]:
+        t = Triangulation.decode(config, enc)
+        ok, heights = eng.regular_quick(t.masks)
+        assert ok and all(isinstance(h, int) for h in heights)
+        for circ in supported_flips(t):
+            nb = flip(t, circ)
+            before = len(lp_calls)
+            ok, hinted = eng.regular_quick(nb.masks, hint=(heights, circ))
+            by_hint = len(lp_calls) == before
+            assert ok == bool(is_regular(nb))
+            assert ok or not by_hint  # every rejection is the LP's
+            if ok:
+                accepted += 1
+                certified += by_hint
+                assert all(hinted[l - 1] == 0 for l in eng.frame)
+                rebuilt = lower_hull_subdivision(config.points, hinted)
+                assert sorted(rebuilt) == sorted(nb.masks)
+    # most accepted neighbours need no LP
+    assert 2 * certified > accepted > 0
+
+
+_END = st.one_of(st.none(), st.tuples(st.integers(-60, 60), st.integers(1, 12)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_END, _END)
+def test_simplest_between_is_the_least_denominator_in_the_interval(lo, hi):
+    low = None if lo is None else Fraction(*lo)
+    high = None if hi is None else Fraction(*hi)
+    assume(low is None or high is None or low < high)
+    p, q = triangulation._simplest_between(lo, hi)
+    t = Fraction(p, q)
+    assert q > 0 and math.gcd(p, q) == 1
+    assert (low is None or low < t) and (high is None or t < high)
+
+    def inside(x):
+        return (low is None or low < x) and (high is None or x < high)
+
+    # no rational with a smaller denominator, or a smaller size, lies inside
+    for den in range(1, q + 1):
+        first = -abs(p) * den if low is None else math.floor(low * den)
+        last = abs(p) * den if high is None else math.ceil(high * den)
+        for num in range(first, last + 1):
+            if inside(Fraction(num, den)):
+                assert (den, abs(num)) >= (q, abs(p))
+
+
+def _regular_heights(config):
+    eng = engine(config)
+    out = []
+    for enc in enumerate_regular(config, collect=True).encodings:
+        ok, heights = eng.regular_quick(Triangulation.decode(config, enc).masks)
+        out.append(heights)
+    return out
+
+
+def test_a_lying_hint_never_makes_a_pinwheel_regular(monkeypatch):
+    # the heights of every regular triangulation, each across every circuit
+    # the engine knows, plus random heights: the pinwheels have no strictly
+    # convex heights, so no hint passes the row check, and the LP rejects
+    eng = engine(NESTED)
+    rng = random.Random(11)
+    lies = _regular_heights(NESTED)
+    lies += [tuple(0 if l in eng.frame else rng.randint(-9, 9) for l in NESTED.labels())
+             for _ in range(20)]
+    circuits = list(eng._circuits.values())
+    lp_calls = counted_lp(monkeypatch)
+    for cells in PINWHEELS:
+        masks = Triangulation(NESTED, cells).masks
+        for heights in lies:
+            for circ in circuits:
+                assert eng.regular_quick(masks, hint=(heights, circ)) == (False, None)
+    assert len(lp_calls) == 2 * len(lies) * len(circuits)
+
+
+def test_a_wrong_hint_leaves_a_regular_triangulation_regular():
+    # the LP decides when the hint fails, and what it returns rebuilds T
+    eng = engine(NESTED)
+    lies = _regular_heights(NESTED)
+    circuits = list(eng._circuits.values())
+    for enc in enumerate_regular(NESTED, collect=True).encodings:
+        t = Triangulation.decode(NESTED, enc)
+        for heights, circ in zip(lies, circuits):
+            ok, found = eng.regular_quick(t.masks, hint=(heights, circ))
+            assert ok
+            assert sorted(lower_hull_subdivision(NESTED.points, found)) == sorted(t.masks)
+
+
+def test_hinted_heights_stay_primitive_integers():
+    # g' = q g - p R is divided by its gcd, so heights do not grow with depth
+    config = prism_configuration(fixture("4c"))
+    eng = engine(config)
+    t = placing_triangulation(config)
+    ok, heights = eng.regular_quick(t.masks)
+    seen = {t.masks}
+    for _ in range(30):  # a walk of accepted flips, each hinted by the last
+        for circ in supported_flips(t):
+            nb = flip(t, circ)
+            if nb.masks in seen:
+                continue
+            ok, hinted = eng.regular_quick(nb.masks, hint=(heights, circ))
+            if ok:
+                seen.add(nb.masks)
+                t, heights = nb, hinted
+                break
+        assert reduce(math.gcd, heights) == 1
+        assert max(map(abs, heights)) < 10**6
+    assert len(seen) == 31
 
 
 def test_flip_exploration_of_nested_triangles():
