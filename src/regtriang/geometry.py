@@ -219,12 +219,6 @@ class LatticePolytope:
             self._reduced = sols
         return self._reduced
 
-    def _unreduce(self, t):
-        return tuple(
-            b + sum(t[j] * self.basis[j][i] for j in range(self.dim))
-            for i, b in enumerate(self.base)
-        )
-
     @property
     def hull(self):
         if self._hull is None:
@@ -273,8 +267,9 @@ class LatticePolytope:
         diff = [a - b for a, b in zip(point, self.base)]
         if self.dim < self.ambient_dim:
             rows = [[self.basis[j][i] for j in range(self.dim)] for i in range(self.ambient_dim)]
+            # an exact solution, or None when the system is inconsistent
             diff = solve_rational(rows, diff)
-            if diff is None or self._unreduce(diff) != tuple(point):
+            if diff is None:
                 return None
         # in full dimension the saturated basis is the identity: no solve
         return tuple(int(x) if x.denominator == 1 else x for x in diff)

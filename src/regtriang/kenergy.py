@@ -1,8 +1,11 @@
 """Toric K-energy of convex piecewise-linear functions, two ways.
 
-A convex rational PL function on Q is held as exact heights on the
-configuration points (the function being their lower-hull interpolation)
-or as a max of affine forms. Its K-energy
+A convex rational PL function on Q is held as its affine pieces (the
+forms of a max of affine forms, or the planes of the lower facets of
+heights on the configuration points) and is the max of them. Its values,
+dilations and domains of linearity, where each piece attains the max
+(De Loera-Rambau-Santos, Triangulations, ch. 2 and 5), are read off the
+pieces once they are checked against the heights. Its K-energy
 
     L(f) = integral of f over the boundary - n (vol dQ / vol Q) integral of f
 
@@ -24,8 +27,7 @@ from .errors import (
     TriangulationMismatch,
 )
 from .geometry import LatticePolytope, PointConfiguration
-from .linalg import det_int, lattice_length, scale_to_integers, solve_rational
-from .lp import max_eq_lp
+from .linalg import det_int, lattice_length, rank_int, scale_to_integers, solve_rational
 from .polytopes import hurwitz_degree_formula
 from .triangulation import (
     Triangulation,
@@ -38,16 +40,6 @@ from .triangulation import (
 from .weights import eta_k, hurwitz_vector
 
 
-def _hull_value(config, heights, point):
-    """Lower-hull interpolation at a rational point of Q, by exact LP."""
-    cols = [tuple(p) + (1,) for p in config.points]
-    rhs = tuple(point) + (1,)
-    status, _, value = max_eq_lp([-h for h in heights], cols, rhs)
-    if status != "optimal":
-        raise ValueError(f"point {point} is outside the configuration hull")
-    return -value
-
-
 class PLFunction:
     """Convex piecewise-linear function on the hull of a configuration."""
 
@@ -57,18 +49,15 @@ class PLFunction:
         self.forms = None if forms is None else _affine_forms(config, forms)
         if len(self.heights) != len(config):
             raise ValueError("one height per configuration point")
-        self._faithful = None
         self._order = None
         self._dilated = {}
-        self._affine_cells = set()  # cells already checked affine
 
     @classmethod
     def from_heights(cls, config, heights):
         """Heights that must already sit on their own lower hull."""
-        f = cls(config, heights)
+        f = cls(config, heights)._tiling()
         for label in config.labels():
-            point = config.point(label)
-            value = _hull_value(config, f.heights, point)
+            value = f(config.point(label))
             if value != f.heights[label - 1]:
                 raise NonConvex(
                     f"height at point {label} lies above the lower hull "
@@ -79,14 +68,10 @@ class PLFunction:
     @classmethod
     def envelope(cls, config, heights):
         """Convexification: replace each height by its lower-hull value."""
-        raw = tuple(Fraction(h) for h in heights)
-        if len(raw) != len(config):
-            raise ValueError("one height per configuration point")
-        hull = tuple(
-            _hull_value(config, raw, config.point(label))
-            for label in config.labels()
-        )
-        return cls(config, hull)
+        raw = cls(config, heights)._tiling()
+        f = cls(config, [raw(p) for p in config.points])
+        f._pieces = raw._pieces  # its lower facets, checked on raw already
+        return f
 
     @classmethod
     def from_affine(cls, config, forms):
@@ -103,28 +88,66 @@ class PLFunction:
     def __call__(self, point):
         if len(point) != self.config.dim:
             raise ValueError(f"point {point} is not in {self.config.dim} dimensions")
-        if self.forms is not None:
-            return max(_affine_at(form, point) for form in self.forms)
-        return _hull_value(self.config, self.heights, point)
+        if not self.config.polytope.contains(point):
+            raise ValueError(f"point {point} is outside the configuration hull")
+        return max(_affine_at(piece, point) for piece in self._pieces)
 
     def value_at_label(self, label):
         return self.heights[label - 1]
 
     @cached_property
-    def refinement(self):
-        """Regular triangulation refining the heights' subdivision."""
-        return _refine_heights(self.config, self.heights)
+    def _pieces(self):
+        """Affine pieces (a1, ..., an, c) whose max is the function: the
+        forms, or the plane through each lower facet of the heights."""
+        if self.forms is not None:
+            return self.forms
+        pieces = []
+        for cell in height_subdivision(self.config, self.heights):
+            rows = [self.config.point(label) + (1,) for label in cell]
+            piece = solve_rational(rows, [self.heights[label - 1] for label in cell])
+            if piece is None:
+                raise CheckFailed(f"lower facet {cell} is not flat")
+            pieces.append(tuple(piece))
+        return tuple(pieces)
 
-    @property
+    @cached_property
+    def _domains(self):
+        """Label masks of the full-dimensional domains of linearity, each once.
+
+        A piece's domain is the set of points where it equals the height;
+        every piece must lie on or below the height at every point.
+        """
+        domains = []
+        for piece in self._pieces:
+            mask, rows = 0, []
+            for i, (p, h) in enumerate(zip(self.config.points, self.heights)):
+                value = _affine_at(piece, p)
+                if value > h:
+                    raise CheckFailed(f"an affine piece lies above the height at point {i + 1}")
+                if value == h:
+                    mask |= 1 << i
+                    rows.append(p + (1,))
+            if mask not in domains and rank_int(rows) == self.config.dim + 1:
+                domains.append(mask)
+        return domains
+
+    @cached_property
+    def refinement(self):
+        """Regular triangulation refining the domains of linearity."""
+        return _refine_heights(self.config, self._domains)
+
+    @cached_property
     def is_faithful(self):
-        """Whether the heights' lower hull reproduces the function."""
-        if self._faithful is None:
-            if self.forms is None:
-                self._faithful = True
-            else:
-                t = self.refinement
-                self._faithful = all(_affine_on(self, t, cell) for cell in t.cells)
-        return self._faithful
+        """Whether the domains tile Q: the refinement's volumes sum to Q's."""
+        eng = engine(self.config)
+        covered = sum(eng.volume(mask) for mask in self.refinement.masks)
+        return covered == eng.hull_volume
+
+    def _tiling(self):
+        """f itself, once its domains are checked to tile Q."""
+        if not self.is_faithful:
+            raise CheckFailed("the domains of linearity do not tile Q")
+        return self
 
     def dilation_order(self):
         """Minimal k so the function on kQ has lattice linearity domains.
@@ -141,38 +164,24 @@ class PLFunction:
     def _at_order(self):
         """(g, k): the function on kQ for its dilation order k.
 
-        g is f itself when k is 1 and f is faithful, and otherwise the
-        dilation by k, which is checked to be faithful.
+        g is f itself when k is 1 and f's domains tile Q, and otherwise
+        the dilation by k, whose domains are checked to tile kQ. A
+        function given by heights must tile Q and is never dilated.
         """
         k = self.dilation_order()
-        if k == 1 and self.is_faithful:
-            return self, 1
-        g = self.dilate(k)
-        if not g.is_faithful:
-            raise CheckFailed(f"the dilation by its order {k} is not faithful")
-        return g, k
+        if k == 1 and (self.forms is None or self.is_faithful):
+            return self._tiling(), 1
+        return self.dilate(k)._tiling(), k
 
     def dilate(self, k):
-        """The function x -> k f(x/k) on the lattice points of kQ, built once per k."""
+        """The function x -> k f(x/k) on the lattice points of kQ, built once
+        per k as the max of the pieces (a, c) scaled to (a, k c)."""
         if k not in self._dilated:
-            self._dilated[k] = self._dilate(k)
+            scaled = LatticePolytope([tuple(k * x for x in p) for p in self.config.points])
+            big = PointConfiguration(sorted(scaled.lattice_points()))
+            pieces = [piece[:-1] + (k * piece[-1],) for piece in self._pieces]
+            self._dilated[k] = PLFunction.from_affine(big, pieces)
         return self._dilated[k]
-
-    def _dilate(self, k):
-        scaled = LatticePolytope(
-            [
-                tuple(k * x for x in self.config.point(label))
-                for label in self.config.labels()
-            ]
-        )
-        big = PointConfiguration(sorted(scaled.lattice_points()))
-        if self.forms is not None:
-            forms = [form[:-1] + (k * form[-1],) for form in self.forms]
-            return PLFunction.from_affine(big, forms)
-        heights = [
-            k * self(tuple(Fraction(x, k) for x in p)) for p in big.points
-        ]
-        return PLFunction(big, heights)
 
 
 def _affine_forms(config, forms):
@@ -219,32 +228,22 @@ def _clearing_order(config, forms):
     return order
 
 
-def _refine_heights(config, heights):
-    """Regular triangulation refining the subdivision of the heights.
+def _refine_heights(config, domains):
+    """Regular triangulation refining the domains of linearity (masks).
 
-    Each cell of the subdivision is triangulated by placing its points in
-    label order. Placing refinements of one order agree on shared faces,
-    and the placing refinement of a regular subdivision is regular
+    Each domain is triangulated by placing its points in label order.
+    Placing refinements of one order agree on shared faces, and the
+    placing refinement of a regular subdivision is regular
     (De Loera-Rambau-Santos, Triangulations, section 4.3).
     """
     simplex = config.dim + 1
     cells = []
-    for cell in height_subdivision(config, heights):
-        if len(cell) == simplex:
-            cells.append(cell)
+    for mask in domains:
+        if mask.bit_count() == simplex:
+            cells.append(mask)
         else:
-            cells.extend(placing_triangulation(config, cell).cells)
-    return Triangulation(config, cells)
-
-
-def _linear_on_cell(f, triangulation, cell):
-    points = [triangulation.config.point(label) for label in cell]
-    centroid = tuple(
-        sum(Fraction(p[i]) for p in points) / len(points)
-        for i in range(len(points[0]))
-    )
-    average = sum(f.value_at_label(label) for label in cell) / len(cell)
-    return f(centroid) == average
+            cells.extend(placing_triangulation(config, _labels(mask)).masks)
+    return Triangulation.from_masks(config, cells)
 
 
 def induced_triangulation(f):
@@ -262,23 +261,15 @@ def induced_triangulation(f):
     return t, k
 
 
-def _affine_on(f, triangulation, cell):
-    """Whether f is affine on the cell, checked once per function and cell."""
-    if cell not in f._affine_cells:
-        if not _linear_on_cell(f, triangulation, cell):
-            return False
-        f._affine_cells.add(cell)
-    return True
-
-
 def _check_cells(f, triangulation, error):
+    """Every cell must lie in one domain of linearity of f."""
     if triangulation.config is not f.config and (
         triangulation.config.points != f.config.points
     ):
         raise error("triangulation lives on a different configuration")
-    for cell in triangulation.cells:
-        if not _affine_on(f, triangulation, cell):
-            raise error(f"function is not affine on cell {cell}")
+    for cell in triangulation.masks:
+        if not any(cell & domain == cell for domain in f._domains):
+            raise error(f"function is not affine on cell {_labels(cell)}")
 
 
 def integral_over_Q(f, triangulation):

@@ -3,8 +3,8 @@
 Two entry points: `strict_feasible` decides strict systems row.g > 0,
 the question both regularity deciders ask (`Engine.regular_quick` on
 fold rows, `triangulation.is_regular` on cell-by-point rows), and
-`max_eq_lp` maximizes over {sum x_j cols[j] = b, x >= 0}, which gives
-K-energy its lower-hull values and the tests their reference LP.
+`max_eq_lp` maximizes over {sum x_j cols[j] = b, x >= 0}, the tests'
+reference LP; nothing in the package calls it (K-energy solves no LP).
 
 The tableau keeps integer entries with a shared positive denominator and
 pivots fraction-free, so every intermediate value is a minor of the input

@@ -48,8 +48,8 @@ from .linalg import (
     rank_int,
     scale_to_integers,
 )
-# max_eq_lp is not called here, but perfbench/layertrace.py looks it up as
-# `triangulation.max_eq_lp` to count the K-energy LPs, so the name stays
+# nothing in the package calls max_eq_lp, but perfbench/layertrace.py counts
+# calls to `triangulation.max_eq_lp` (now 0), so the name stays
 from .lp import max_eq_lp, strict_feasible
 
 

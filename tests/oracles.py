@@ -22,10 +22,15 @@
 - solve_rational: one solution of A x = b by Gauss-Jordan elimination in
   Fractions, free variables 0, the solve the library made before its
   fraction-free elimination.
+- refine_by_lower_hull: the K-energy refinement of heights read off the
+  lower hull of the lifted points, each lower facet placed in label
+  order, the route the library took before it read the domains of
+  linearity off the affine pieces.
 
 Everything is exact rational arithmetic. Nothing here shares logic with
 the library, except that meet_in_common_face solves its LP with the
-library's `max_eq_lp`.
+library's `max_eq_lp`, and refine_by_lower_hull lifts with the library's
+`height_subdivision` and places with its `placing_triangulation`.
 """
 
 from fractions import Fraction
@@ -34,6 +39,7 @@ from itertools import combinations
 from math import gcd, lcm
 
 from regtriang.lp import max_eq_lp
+from regtriang.triangulation import Triangulation, height_subdivision, placing_triangulation
 
 
 def _cross(o, a, b):
@@ -482,3 +488,16 @@ def pairwise_verdict(points, masks):
     if not all(meet_in_common_face(points, a, b) for a, b in combinations(masks, 2)):
         return "overlap"
     return None
+
+
+def refine_by_lower_hull(config, heights):
+    """Regular triangulation refining the lower-hull subdivision of the
+    heights, each cell placed in label order."""
+    simplex = config.dim + 1
+    cells = []
+    for cell in height_subdivision(config, heights):
+        if len(cell) == simplex:
+            cells.append(cell)
+        else:
+            cells.extend(placing_triangulation(config, cell).cells)
+    return Triangulation(config, cells)

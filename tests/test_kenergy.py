@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regtriang import kenergy
+from regtriang import kenergy, lp, triangulation
 from regtriang.errors import (
     CheckFailed,
     DimensionUnsupported,
@@ -25,6 +25,8 @@ from regtriang.kenergy import (
     k_energy_pairing,
 )
 from regtriang.triangulation import Triangulation, height_subdivision, is_regular
+
+from oracles import refine_by_lower_hull
 
 SQUARE = PointConfiguration([(0, 0), (1, 0), (1, 1), (0, 1)])
 
@@ -92,10 +94,11 @@ def test_boundary_integral_is_planar_only():
 
 
 def test_envelope_needs_one_height_per_point(monkeypatch):
-    def no_lp(*args):
-        raise AssertionError("LP solved")
+    def no_lift(*args):
+        raise AssertionError("heights lifted")
 
-    monkeypatch.setattr(kenergy, "_hull_value", no_lp)
+    monkeypatch.setattr(kenergy, "height_subdivision", no_lift)
+    monkeypatch.setattr(triangulation, "lower_hull_subdivision", no_lift)
     for heights in ([1, 2, 3], [0] * 8):
         with pytest.raises(ValueError, match="one height per configuration point"):
             PLFunction.envelope(fixture("hexagon"), heights)
@@ -110,13 +113,23 @@ def test_affine_forms_need_one_entry_per_coordinate_and_a_constant(form):
         PLFunction(hexagon, [0] * 7, [form])
 
 
-@pytest.mark.parametrize("point", [(1,), (1, 5, 7)], ids=["short", "long"])
-def test_a_point_of_the_wrong_dimension_is_refused_on_both_routes(point):
+@pytest.mark.parametrize(
+    "point, message",
+    [
+        ((1,), "not in 2 dimensions"),
+        ((1, 5, 7), "not in 2 dimensions"),
+        ((1, -1), "outside the configuration hull"),
+        ((Fraction(1, 2), 5), "outside the configuration hull"),
+    ],
+    ids=["short", "long", "outside", "outside-rational"],
+)
+def test_a_point_of_the_wrong_dimension_is_refused_on_both_routes(point, message):
     hexagon = fixture("hexagon")
     f = PLFunction.from_affine(hexagon, [(1, 0, 0), (0, 1, 0)])
     for route in (f, PLFunction(hexagon, f.heights)):
         assert route((1, 0)) == 1
-        with pytest.raises(ValueError, match="not in 2 dimensions"):
+        assert route((Fraction(1, 2), Fraction(-1, 2))) == Fraction(1, 2)
+        with pytest.raises(ValueError, match=message):
             route(point)
 
 
@@ -196,6 +209,7 @@ def test_random_convex_functions_cross_check():
             f = PLFunction.envelope(config, raw)
             t, k = induced_triangulation(f)
             assert k == 1
+            assert t == refine_by_lower_hull(config, f.heights)
             energy = k_energy_integral(f)
             assert k_energy_pairing(f, t) == energy
             assert k_energy_integral(
@@ -225,18 +239,50 @@ def test_configuration_missing_lattice_points_probes_order_one():
     assert k_energy_integral(full) == k_energy_pairing(full) == Fraction(1, 2)
 
 
-def test_each_cell_is_checked_affine_once(monkeypatch):
-    calls = []
-    real = kenergy._linear_on_cell
+def test_k_energy_solves_no_lp(monkeypatch):
+    def no_lp(*args):
+        pytest.fail("an LP was solved")
 
-    def counting(f, triangulation, cell):
-        calls.append(cell)
-        return real(f, triangulation, cell)
+    monkeypatch.setattr(lp, "_phase1", no_lp)
+    f = PLFunction.envelope(HEXAGON, [-1, 0, 1, 2, 1, 0, 1])
+    g = PLFunction.from_affine(SQUARE, [(0, 0, 0), (3, 0, -1)])
+    for h in (f, g, PLFunction(HEXAGON, f.heights)):
+        assert k_energy_integral(h) == k_energy_pairing(h)
+    assert induced_triangulation(g)[1] == 3
 
-    monkeypatch.setattr(kenergy, "_linear_on_cell", counting)
-    f = PLFunction.from_heights(HEXAGON, [-1, 0, 1, 2, 1, 0, 1])
-    assert k_energy_integral(f) == k_energy_pairing(f)
-    assert sorted(calls) == sorted(f.refinement.cells)
+
+def _lying_hull(monkeypatch, lie):
+    real = kenergy.height_subdivision
+
+    def lying(config, heights):
+        return lie(real(config, heights))
+
+    monkeypatch.setattr(kenergy, "height_subdivision", lying)
+
+
+@pytest.mark.parametrize(
+    "lie",
+    [
+        lambda cells: cells[1:],  # drops a facet
+        lambda cells: [(1, 2, 4), (2, 3, 4)],  # flat, tiling, but above 3 and 1
+        lambda cells: cells + [(1, 2, 3, 4)],  # four points on no one plane
+    ],
+    ids=["dropped", "other-diagonal", "not-flat"],
+)
+def test_a_lying_hull_never_gives_a_number(monkeypatch, lie):
+    # [0, 1, 0, 1] on the square creases along the diagonal 1-3
+    heights = [0, 1, 0, 1]
+    assert height_subdivision(SQUARE, heights) == [(1, 2, 3), (1, 3, 4)]
+    _lying_hull(monkeypatch, lie)
+    with pytest.raises(CheckFailed):
+        PLFunction.envelope(SQUARE, heights)
+    with pytest.raises(CheckFailed):
+        PLFunction.from_heights(SQUARE, heights)
+    f = PLFunction(SQUARE, heights)
+    with pytest.raises(CheckFailed):
+        k_energy_integral(f)
+    with pytest.raises(CheckFailed):
+        k_energy_pairing(f)
 
 
 def test_failed_dilation_bound_is_a_library_error(monkeypatch):
@@ -316,6 +362,10 @@ def test_dilation_order_equals_the_probe(name, forms):
         assert f.dilation_order() > _PROBE_CAP
     else:
         assert f.dilation_order() == probed
+        # at its order, the domains refine as the lifted lower hull does
+        t, k = induced_triangulation(f)
+        g = f if t.config is f.config else f.dilate(k)
+        assert t == refine_by_lower_hull(g.config, g.heights)
 
 
 _RATIONAL = st.fractions(min_value=-12, max_value=12, max_denominator=6)
@@ -332,7 +382,7 @@ def _heights(draw):
 @given(_heights())
 def test_refinement_is_a_regular_triangulation_inside_the_subdivision(data):
     config, heights = data
-    t = kenergy._refine_heights(config, heights)
+    t = PLFunction(config, heights).refinement
     t.validate()
     assert is_regular(t)
     coarse = [set(cell) for cell in height_subdivision(config, heights)]
@@ -353,6 +403,4 @@ def test_refinement_ignores_scale_and_affine_shift(data, scale, shift):
         scale * h + a1 * x + a2 * y + c
         for h, (x, y) in zip(heights, config.points)
     ]
-    assert kenergy._refine_heights(config, moved) == kenergy._refine_heights(
-        config, heights
-    )
+    assert PLFunction(config, moved).refinement == PLFunction(config, heights).refinement

@@ -44,6 +44,47 @@ def test_polytopes_leaves_checkpoints_to_the_enumeration():
     assert not {m for m in imported if m and "checkpoint" in m}
 
 
+def test_kenergy_imports_nothing_from_lp():
+    # values and domains are read off the affine pieces, not solved for
+    found = []
+    for node in ast.walk(_tree("kenergy.py")):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module.split(".")[-1] == "lp" or (
+                node.level and not module and any(a.name == "lp" for a in node.names)
+            ):
+                found.append(node.lineno)
+        elif isinstance(node, ast.Import):
+            found.extend(node.lineno for a in node.names if a.name.split(".")[-1] == "lp")
+    assert found == []
+
+
+def test_a_max_of_forms_at_its_order_lifts_nothing(monkeypatch):
+    # the domains of a max of forms come from the forms, not a lower hull
+    from regtriang import triangulation
+    from regtriang.kenergy import (
+        PLFunction,
+        induced_triangulation,
+        k_energy_integral,
+        k_energy_pairing,
+    )
+
+    def lift(*args):
+        raise AssertionError("lower hull built")
+
+    monkeypatch.setattr(triangulation, "lower_hull_subdivision", lift)
+    cases = [
+        ("square", [(0, 0, 0), (3, 0, -1)], 3),
+        ("4a", [(0, 0, 0), (2, 1, -1)], 3),
+        ("hexagon", [(1, 0, 0), (0, 1, 0)], 1),
+    ]
+    for name, forms, order in cases:
+        f = PLFunction.from_affine(fixture(name), forms)
+        assert f.dilation_order() == order
+        assert induced_triangulation(f)[1] == order
+        assert k_energy_integral(f) == k_energy_pairing(f)
+
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
