@@ -126,12 +126,15 @@ def cmd_triang(args):
     config = load_config(args.config)
     if args.prism:
         config = prism_configuration(config)
+    encodings = []
     result = enumerate_regular(
-        config, collect=not args.count_only, **_enumeration_kwargs(args)
+        config,
+        on_accept=None if args.count_only else encodings.append,
+        **_enumeration_kwargs(args),
     )
     report = {"config": config.name, "count": result.count}
     if not args.count_only:
-        report["triangulations"] = sorted(result.encodings)
+        report["triangulations"] = sorted(encodings)
     return report
 
 

@@ -8,14 +8,15 @@ accepted triangulations form the next frontier, so the result is the same
 for any worker count. A triangulation is encoded once, when accepted;
 encodings are decoded only when a checkpoint resumes.
 
-A frontier entry carries what its decision computed: its mask tuple, its
-distinct circuits (shared Circuit objects), which its expansion reads
-instead of building the list again, and its primitive integer heights.
-A candidate keeps references to the heights of the first parent that
-reached it and to the circuit flipped, the hint `regular_quick` tries
-before its LP. Entries decided by pool workers, which return only their
-verdict, and entries read back from a checkpoint, which holds no heights,
-carry neither: a resumed run re-derives one level's heights by LP.
+A frontier entry carries what its decision computed: its mask tuple, the
+circuits of its fold rows (shared Circuit objects, each once), which its
+expansion reads instead of building the list again, and its primitive
+integer heights. A candidate keeps references to the heights of the
+first parent that reached it and to the circuit flipped, the hint
+`regular_quick` tries before its LP. Entries decided by pool workers,
+which return only their verdict, and entries read back from a
+checkpoint, which holds no heights, carry neither: a resumed run
+re-derives one level's heights by LP.
 
 Visited and rejected triangulations are kept as 96-bit blake2b digests of
 the mask tuple, on the assumption that no two share one (odds about
@@ -40,7 +41,6 @@ from .errors import (
 from .geometry import PointConfiguration
 from .triangulation import (
     Triangulation,
-    distinct_circuits,
     engine,
     flip,
     placing_triangulation,
@@ -53,8 +53,6 @@ DEFAULT_BUDGET = 2_000_000
 @dataclass
 class EnumerationResult:
     count: int
-    complete: bool
-    encodings: list | None = None
 
 
 def _digest(masks):
@@ -69,13 +67,13 @@ def _neighbor_encodings(config, masks, circuits=None):
 
 
 def _decisions(eng, todo):
-    """(ok, distinct circuits, heights) of each (masks, hint) in turn: one
-    circuit list per candidate serves its decision and, if it is
-    accepted, its expansion."""
+    """(ok, circuits, heights) of each (masks, hint) in turn: one circuit
+    list per candidate serves its decision and, if it is accepted, its
+    expansion."""
     for masks, hint in todo:
         circuits = eng.circuits(masks)
         ok, heights = eng.regular_quick(masks, circuits, hint)
-        yield ok, distinct_circuits(circuits) if ok else None, heights
+        yield ok, tuple(c for c, _ in circuits) if ok else None, heights
 
 
 _WORKER = {}
@@ -119,7 +117,6 @@ def enumerate_regular(
     checkpoint_path=None,
     resume=False,
     on_accept=None,
-    collect=False,
 ):
     """All regular triangulations of the configuration, counted by BFS.
 
@@ -127,8 +124,8 @@ def enumerate_regular(
     from the placing triangulation reaches every one of them. on_accept
     is called once per accepted encoding, in acceptance order: a resumed
     run first replays every acceptance its checkpoint holds, in file
-    order, and then continues the search, so the stream is the same as
-    the collected encodings. Raises BudgetExceeded, after flushing the
+    order, and then continues the search, so the stream is the same as an
+    uninterrupted run's. Raises BudgetExceeded, after flushing the
     checkpoint, when the accepted count reaches the budget with work
     still pending.
     """
@@ -136,7 +133,6 @@ def enumerate_regular(
     visited = set()
     rejected = set()
     count = 0
-    encodings = [] if collect else None
     writer = None
 
     def accept(masks, enc):
@@ -145,8 +141,6 @@ def enumerate_regular(
         count += 1
         if writer:
             writer.record(enc)
-        if collect:
-            encodings.append(enc)
         if on_accept:
             on_accept(enc)
 
@@ -169,7 +163,7 @@ def enumerate_regular(
             if k >= state.opened:
                 tail.append(masks)
         if state.done:
-            return EnumerationResult(count, True, encodings)
+            return EnumerationResult(count)
         split = state.closed - state.opened
         frontier = [
             (tuple(map(eng.cell_masks.setdefault, m, m)), None, None) for m in tail[:split]
@@ -239,7 +233,7 @@ def enumerate_regular(
         if writer:
             writer.done(count)
             writer = None
-        return EnumerationResult(count, True, encodings)
+        return EnumerationResult(count)
     finally:
         if writer:
             writer.close()

@@ -19,7 +19,6 @@ import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 from math import gcd, prod
 
 from .errors import BadConfig, CheckFailed, DimensionUnsupported
@@ -207,6 +206,7 @@ class LatticePolytope:
         self.dim = len(self.basis)
         self._reduced = None
         self._hull = None
+        self._volume = None
 
     # -- coordinates ---------------------------------------------------
 
@@ -300,14 +300,8 @@ class LatticePolytope:
         ]
 
     def edges(self):
-        """Vertex pairs forming edges (1-faces), as sorted ambient pairs:
-        the pairs whose smallest face holds no other vertex."""
-        hull = self.hull
-        return sorted(
-            tuple(sorted((self.points[a], self.points[b])))
-            for a, b in combinations(hull.vertices, 2)
-            if hull.face(1 << a | 1 << b) & hull.vertex_mask == 1 << a | 1 << b
-        )
+        """Vertex pairs forming edges (1-faces), as sorted ambient pairs."""
+        return sorted(face.vertices for face in self.faces(1))
 
     # -- fans, volumes ---------------------------------------------------
 
@@ -332,14 +326,17 @@ class LatticePolytope:
 
     def normalized_volume(self):
         """Normalized volume (dim! times euclidean) in the saturated lattice
-        of the affine hull, read off the reduced coordinates."""
-        red = self.reduced
-        total = 0
-        for cell in self.hull.cells:
-            first, *rest = bit_indices(cell)
-            edges = [scale_to_integers(d) for d in _dirs([red[i] for i in rest], red[first])]
-            total += Fraction(abs(det_int([w for w, _ in edges])), prod(s for _, s in edges))
-        return int(total) if total.denominator == 1 else total
+        of the affine hull, read off the reduced coordinates; the hull's
+        cells are walked once per polytope."""
+        if self._volume is None:
+            red = self.reduced
+            total = 0
+            for cell in self.hull.cells:
+                first, *rest = bit_indices(cell)
+                edges = [scale_to_integers(d) for d in _dirs([red[i] for i in rest], red[first])]
+                total += Fraction(abs(det_int([w for w, _ in edges])), prod(s for _, s in edges))
+            self._volume = int(total) if total.denominator == 1 else total
+        return self._volume
 
     def lattice_points(self):
         """All integer points in the polytope, sorted."""

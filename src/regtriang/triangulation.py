@@ -9,20 +9,20 @@ full-dimensional cell iff it is alone on its side of their circuit.
 
 Fold rows and flips read one circuit list per triangulation,
 `Engine.circuits`: the circuit of the two cells across each interior
-wall, and of each unused point with the cell that holds it. Each is a
-wall inequality of the secondary cone, and each may support a flip.
-A caller that holds the list passes it on, to `regular_quick` (and so
-`fold_rows`) and, de-duplicated (`distinct_circuits`), to
-`supported_flips`, which finds each circuit's present side once and
-leaves it on the triangulation for `flip`.
+wall, and of each unused point with the cell that holds it, each row
+once. Each is a wall inequality of the secondary cone, and each may
+support a flip. A caller that holds the list passes it on, to
+`regular_quick` (and so `fold_rows`) and, as its circuits, to
+`supported_flips`, which finds each circuit's present side in one pass
+over the cells and leaves it on the triangulation for `flip`.
 
 A flip crosses one wall of the secondary fan (GKZ; De Loera-Rambau-Santos,
 *Triangulations*, ch. 5), so the strictly convex heights of the
-triangulation it came from, moved along that wall's normal, usually
-certify the new one. `regular_quick` takes such a hint, (heights,
-circuit), and tries it before any LP; heights it certifies are checked
-on every fold row in integers, and `strict_feasible` runs only when the
-hint fails.
+triangulation it came from, moved by the flipped circuit's own
+dependence, usually certify the new one. `regular_quick` takes such a
+hint, (heights, circuit), and tries it before any LP; heights it
+certifies are checked on every fold row in integers, and
+`strict_feasible` runs only when the hint fails.
 """
 
 import weakref
@@ -188,15 +188,15 @@ def _walls(masks):
 class Engine:
     """Per-configuration caches and the flip/regularity machinery.
 
-    Regularity is decided on an affine frame: d+1 affinely independent
-    labels, picked once, on the first fold. Every fold row is an affine
-    dependence (its entries sum to 0 and sum r_i p_i = 0), so it vanishes
-    on every affine function, and subtracting from heights g the affine
-    function that agrees with g on the frame leaves each row value r.g
-    unchanged. Strictly convex heights therefore exist iff some exist that
-    are 0 on the frame: the fold drops the frame's columns, the dual LP
-    loses d+1 of its m+1 equality rows, and the heights returned are 0
-    there.
+    The LP decides regularity on an affine frame: d+1 affinely
+    independent labels, picked once, on the first fold. Every fold row is
+    an affine dependence (its entries sum to 0 and sum r_i p_i = 0), so it
+    vanishes on every affine function, and subtracting from heights g the
+    affine function that agrees with g on the frame leaves each row value
+    r.g unchanged. Strictly convex heights therefore exist iff some exist
+    that are 0 on the frame: the fold drops the frame's columns, the dual
+    LP loses d+1 of its m+1 equality rows, and the heights it returns are
+    0 there. Heights certified by a hint (see _across_wall) need no frame.
     """
 
     def __init__(self, config):
@@ -280,21 +280,6 @@ class Engine:
         fixed = {l - 1 for l in self.frame}
         return tuple(i for i in range(self.m) if i not in fixed)
 
-    @cached_property
-    def _frame_coords(self):
-        """(D, columns): for each frame label f, D times the affine
-        coordinate on f of each free column's point, as ints, with D > 0
-        their common denominator. The circuit of the frame and a point p
-        gives them: c_p p + sum_f c_f f = 0 puts p at -c_f / c_p on f."""
-        frame = _mask(self.frame)
-        free = self._free_columns
-        deps = [dict(self.circuit_of(frame | 1 << i).coeffs) for i in free]
-        den = lcm(*(dep[i + 1] for i, dep in zip(free, deps)))
-        return den, {
-            f: [-dep.get(f, 0) * (den // dep[i + 1]) for i, dep in zip(free, deps)]
-            for f in self.frame
-        }
-
     def wall_circuits(self, walls):
         """(circuit of its two cells, apex label) for each wall of `walls`
         (see _walls) held by two cells, in order; the apex is the first
@@ -320,15 +305,17 @@ class Engine:
         return out
 
     def circuits(self, masks):
-        """The cells' circuits, as (circuit, apex label) pairs.
+        """The cells' circuits, as (circuit, apex label) pairs, each row once.
 
         One per interior wall, in the order the cells meet it (see
         wall_circuits). Then one per unused point, ascending: the circuit
         of the point and the first cell that holds it, apex the point.
         (Cells meeting face to face give every cell holding the point the
-        same circuit.) Raises CheckFailed when the cells do not fold like
-        a triangulation (see wall_circuits) or a point is outside every
-        cell.
+        same circuit.) A pair is dropped when an earlier one has the same
+        circuit with its apex on the same side, and so the same fold row:
+        all walls of one circuit are one wall of the secondary fan. Raises
+        CheckFailed when the cells do not fold like a triangulation (see
+        wall_circuits) or a point is outside every cell.
         """
         out = self.wall_circuits(_walls(masks))
         for i in bit_indices(self.full_mask & ~reduce(or_, masks, 0)):
@@ -336,7 +323,10 @@ class Engine:
             if host is None:
                 raise CheckFailed("unused point outside every cell")
             out.append((self.circuit_of(host | (1 << i)), i + 1))
-        return out
+        first = {}
+        for circ, apex in out:
+            first.setdefault((circ.support, circ.plus >> (apex - 1) & 1), (circ, apex))
+        return list(first.values())
 
     def fold_rows(self, masks, circuits=None):
         """Integer rows r with r.g > 0 for all rows iff heights g induce T.
@@ -370,7 +360,8 @@ class Engine:
         only once every fold row is checked positive on it in integers.
         Otherwise `strict_feasible` decides on `fold_rows`, and a rejection
         carries its checked dual certificate. Returns (True, heights),
-        primitive integer heights that are 0 on the frame, or (False, None).
+        primitive integer heights (0 on the frame when the LP found them),
+        or (False, None).
         """
         if circuits is None:
             circuits = self.circuits(masks)
@@ -388,31 +379,19 @@ class Engine:
                 heights[i] = x
         return True, tuple(heights)
 
-    def _across_wall(self, circuits, heights, circ):
-        """Heights g' = g - t R on which every fold row is positive, or None.
+    def _across_wall(self, circuits, g, circ):
+        """Heights g' = q g - p Z on which every fold row is positive, or None.
 
-        g is `heights` with the frame's entries set to 0. R is the
-        circuit's dependence read as heights, minus the affine function
-        that agrees with it on the frame, times D (see _frame_coords): R is
-        0 on the frame, and every row takes D times its value on the
-        dependence, since rows vanish on affine functions. So g' is 0 on
-        the frame, and each row r bounds t through a = r.g and b = r.R:
-        a - t b > 0. t = p/q is the simplest rational in the open interval
-        the bounds leave, g' is q g - p R divided by its gcd, and every
-        row is then checked on g'. The rows are read off the (circuit,
-        apex) pairs `circuits`, as fold_rows reads them.
+        g is the hint's heights and Z the circuit's coefficients read as
+        heights. Each row r bounds t = p/q through a = r.g and b = r.Z:
+        a - t b > 0. t is the simplest rational in the open interval the
+        bounds leave, g' is q g - p Z divided by its gcd, and every row is
+        then checked on g'. The rows are read off the (circuit, apex) pairs
+        `circuits`, as fold_rows reads them.
         """
-        den, columns = self._frame_coords
-        g = list(heights)
-        for f in self.frame:
-            g[f - 1] = 0
         direction = [0] * self.m
         for l, c in circ.coeffs:
-            if l in columns:
-                for i, x in zip(self._free_columns, columns[l]):
-                    direction[i] -= x * c
-            else:
-                direction[l - 1] += den * c
+            direction[l - 1] = c
         # each row as its circuit's coefficients and its sign at the apex
         rows = [(c.coeffs, 1 if c.plus >> (apex - 1) & 1 else -1) for c, apex in circuits]
         lo = hi = None  # t > lo and t < hi, each as (num, den) with den > 0
@@ -562,49 +541,45 @@ def placing_triangulation(config, order=None):
     return Triangulation.from_masks(config, cells)
 
 
-def distinct_circuits(pairs):
-    """The circuits of Engine.circuits' (circuit, apex) pairs, each once."""
-    return tuple({c.support: c for c, _ in pairs}.values())
-
-
 def supported_flips(triangulation, circuits=None):
     """All circuits currently supporting a flip, in canonical order.
 
-    `circuits` are the triangulation's distinct circuits, if the caller
-    has them (see distinct_circuits). The present side found for each is
-    left on the triangulation, so flip does not look for it again.
+    `circuits` are the circuits of the triangulation's Engine.circuits
+    pairs, if the caller has them; each comes once, since no circuit of a
+    triangulation has apexes on both of its sides. The present side
+    found for each is left on the triangulation, so flip does not look
+    for it again.
     """
     masks = triangulation.masks
     if circuits is None:
-        circuits = distinct_circuits(engine(triangulation.config).circuits(masks))
-    cellset = set(masks)
+        circuits = [c for c, _ in engine(triangulation.config).circuits(masks)]
     sides = triangulation._sides = {}
     for c in circuits:
-        side = _present_side(masks, c, cellset)
+        side = _present_side(masks, c)
         if side is not None:
             sides[c.support] = side
     return sorted((c for c in circuits if c.support in sides), key=lambda c: _labels(c.support))
 
 
-def _present_side(masks, circ, cellset):
+def _present_side(masks, circ):
     """The side of the circuit present in T as (taus, link, new), or None.
 
     T holds every cell tau | lam, for tau the support minus one point of
     one side and lam in the link; the flip replaces them by the cells
-    made with the points of the other side, `new` (a mask). The plus
-    side (cells using all of circ.plus) is tried first. `cellset` is
-    set(masks).
+    made with the points of the other side, `new` (a mask). No cell holds
+    the whole support, so the cells holding tau are those meeting the
+    support in exactly tau: one pass groups the cells' links by that
+    meet, and a side is present when all its taus share one non-empty
+    link. The plus side (cells using all of circ.plus) is tried first.
     """
     smask = circ.support
+    links = {}
+    for c in masks:
+        links.setdefault(c & smask, []).append(c & ~smask)
     for old, new in ((circ.minus, circ.plus), (circ.plus, circ.minus)):
         taus = [smask ^ (1 << i) for i in bit_indices(old)]
-        tau0 = taus[0]
-        link = [c & ~tau0 for c in masks if c & tau0 == tau0]
-        if link and all(
-            sum(1 for c in masks if c & tau == tau) == len(link)
-            and all(tau | lam in cellset for lam in link)
-            for tau in taus
-        ):
+        link = links.get(taus[0])
+        if link and all(links.get(tau) == link for tau in taus[1:]):
             return taus, link, new
     return None
 
@@ -613,9 +588,7 @@ def flip(triangulation, circuit):
     """Apply the circuit flip; UnsupportedFlip if it does not apply."""
     eng = engine(triangulation.config)
     masks = triangulation.masks
-    side = (triangulation._sides or {}).get(circuit.support) or _present_side(
-        masks, circuit, set(masks)
-    )
+    side = (triangulation._sides or {}).get(circuit.support) or _present_side(masks, circuit)
     if side is None:
         raise UnsupportedFlip(f"{circuit} is not supported")
     taus, link, new = side

@@ -16,6 +16,9 @@
   wall (the kernel of its two cells, positive at the first cell's apex)
   and one per unused point (den e_i minus den times its barycentric
   coordinates in the first cell holding it).
+- present_side: the side of a circuit present in a triangulation, by a
+  scan of every cell for each point of a side, the search the library
+  made before it grouped the cells by their meet with the support.
 - pairwise_verdict: whether cells triangulate the hull, by the volume and
   a face-to-face test of every pair of cells (meet_in_common_face), the
   check `Triangulation.validate` made before it read walls alone.
@@ -420,6 +423,26 @@ def fold_rows(points, masks):
             row[j] -= int(x * den)
         rows.append(row)
     return rows
+
+
+def present_side(masks, circ):
+    """(taus, link, new) of the side of the circuit present in the cells,
+    or None: every tau (the support minus one point of the side) lies in
+    as many cells as the first, and tau | lam is a cell for each lam of
+    the first one's link. The plus side is tried first."""
+    cellset = set(masks)
+    smask = circ.support
+    for old, new in ((circ.minus, circ.plus), (circ.plus, circ.minus)):
+        taus = [smask ^ (1 << i) for i in range(old.bit_length()) if old >> i & 1]
+        tau0 = taus[0]
+        link = [c & ~tau0 for c in masks if c & tau0 == tau0]
+        if link and all(
+            sum(1 for c in masks if c & tau == tau) == len(link)
+            and all(tau | lam in cellset for lam in link)
+            for tau in taus
+        ):
+            return taus, link, new
+    return None
 
 
 def meet_in_common_face(points, m1, m2):

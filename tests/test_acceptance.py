@@ -47,6 +47,7 @@ from regtriang.triangulation import Triangulation, flip, is_regular
 from regtriang.weights import eta_k, hurwitz_vector
 
 from oracles import all_triangulations
+from test_enumeration import accepted
 from test_prism import FIFTEEN, classify
 from test_weights import HEXAGON_HURWITZ, VERONESE_HURWITZ
 
@@ -71,8 +72,7 @@ TABLE_EXTENDED = {
 
 
 def all_regular(config):
-    res = enumerate_regular(config, collect=True)
-    return [Triangulation.decode(config, enc) for enc in res.encodings]
+    return [Triangulation.decode(config, enc) for enc in accepted(config)]
 
 
 def xi_set(config):
@@ -89,11 +89,11 @@ def test_01_square_two_triangulations_and_cube_midpoint():
     assert xis == {(2, 0, 2, 0), (0, 2, 0, 2)}
 
     cube = prism_configuration(cfg)
-    res = enumerate_regular(cube, collect=True)
-    assert res.count == 74
+    encodings = accepted(cube)
+    assert len(encodings) == 74
 
     mixed_nus = set()
-    for enc in res.encodings:
+    for enc in encodings:
         t = Triangulation.decode(cube, enc)
         if find_cubic_mixed(t):
             mixed_nus.add(nu_vector(t).values)
@@ -273,9 +273,9 @@ def test_07_triangular_prism_top_fold():
         base = fixture(name)
         assert fold == 4 * base.polytope.normalized_volume()
         pr = prism_configuration(base)
-        res = enumerate_regular(pr, collect=True)
-        assert res.count == 6
-        for enc in res.encodings:
+        encodings = accepted(pr)
+        assert len(encodings) == 6
+        for enc in encodings:
             t = Triangulation.decode(pr, enc)
             top = eta_k(t, 3)
             for i in range(1, 4):
@@ -288,7 +288,7 @@ def test_08_cube_mixed_simplex_midpoint_and_shifts():
     shifts (-d, -c, +b, +a) on the four base labels."""
     cube = prism_configuration(fixture("square"))
     hits = 0
-    for enc in enumerate_regular(cube, collect=True).encodings:
+    for enc in accepted(cube):
         t = Triangulation.decode(cube, enc)
         found = find_cubic_mixed(t)
         if not found:
@@ -383,10 +383,7 @@ def test_10_bruteforce_count_oracle(name):
 def test_10_enumeration_determinism_across_workers():
     """Identical sorted encodings with 1, 2, and 8 workers."""
     cube = prism_configuration(fixture("square"))
-    runs = [
-        sorted(enumerate_regular(cube, jobs=jobs, collect=True).encodings)
-        for jobs in (1, 2, 8)
-    ]
+    runs = [sorted(accepted(cube, jobs=jobs)) for jobs in (1, 2, 8)]
     assert runs[0] == runs[1] == runs[2]
     assert len(runs[0]) == 74
 
@@ -396,25 +393,19 @@ def test_10_kill_and_resume_equivalence(tmp_path):
     checkpoint truncated mid-write both reproduce the uninterrupted
     enumeration exactly."""
     cube = prism_configuration(fixture("square"))
-    baseline = sorted(enumerate_regular(cube, collect=True).encodings)
+    baseline = sorted(accepted(cube))
 
     ck = str(tmp_path / "interrupted.jsonl")
     with pytest.raises(BudgetExceeded):
         enumerate_regular(cube, budget=20, checkpoint_path=ck)
-    resumed = enumerate_regular(
-        cube, checkpoint_path=ck, resume=True, collect=True
-    )
-    assert sorted(resumed.encodings) == baseline
+    assert sorted(accepted(cube, checkpoint_path=ck, resume=True)) == baseline
 
     hard = tmp_path / "killed.jsonl"
     with pytest.raises(BudgetExceeded):
         enumerate_regular(cube, budget=30, checkpoint_path=str(hard))
     data = hard.read_bytes()
     hard.write_bytes(data[: len(data) - 17])  # rip through the last record
-    resumed = enumerate_regular(
-        cube, checkpoint_path=str(hard), resume=True, collect=True
-    )
-    assert sorted(resumed.encodings) == baseline
+    assert sorted(accepted(cube, checkpoint_path=str(hard), resume=True)) == baseline
 
 
 def test_11_hurwitz_vectors_lie_in_folded_prism_hull():

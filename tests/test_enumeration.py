@@ -18,6 +18,7 @@ from regtriang.fixtures import fixture
 from regtriang.geometry import PointConfiguration
 from regtriang.prism import prism_configuration
 from regtriang.triangulation import (
+    Engine,
     Triangulation,
     engine,
     flip,
@@ -26,7 +27,7 @@ from regtriang.triangulation import (
     supported_flips,
 )
 
-from oracles import all_triangulations
+from oracles import all_triangulations, present_side
 
 SQUARE = PointConfiguration([(0, 0), (1, 0), (1, 1), (0, 1)])
 
@@ -39,11 +40,17 @@ HEXAGON = PointConfiguration(
 NESTED = PointConfiguration([(0, 0), (4, 0), (0, 4), (1, 1), (2, 1), (1, 2)])
 
 
+def accepted(config, **kwargs):
+    """The encodings an enumeration hands to on_accept, in order."""
+    streamed = []
+    enumerate_regular(config, on_accept=streamed.append, **kwargs)
+    return streamed
+
+
 def test_square_has_two_triangulations():
-    res = enumerate_regular(SQUARE, collect=True)
-    assert res.complete
-    assert res.count == 2
-    assert set(res.encodings) == {"1,2,3;1,3,4", "1,2,4;2,3,4"}
+    streamed = []
+    assert enumerate_regular(SQUARE, on_accept=streamed.append).count == 2
+    assert set(streamed) == {"1,2,3;1,3,4", "1,2,4;2,3,4"}
 
 
 def test_known_counts():
@@ -52,9 +59,10 @@ def test_known_counts():
 
 
 def test_every_reported_triangulation_is_valid_and_regular():
-    res = enumerate_regular(VERONESE, collect=True)
-    assert len(set(res.encodings)) == res.count
-    for enc in res.encodings:
+    streamed = []
+    res = enumerate_regular(VERONESE, on_accept=streamed.append)
+    assert len(set(streamed)) == res.count
+    for enc in streamed:
         t = Triangulation.decode(VERONESE, enc)
         t.validate()
         assert is_regular(t)
@@ -79,21 +87,21 @@ def test_nested_count_matches_unrestricted_exploration():
     regular = {enc for enc, ok in seen.items() if ok}
     assert len(regular) == 16
 
-    res = enumerate_regular(NESTED, collect=True)
-    assert res.count == 16
-    assert set(res.encodings) == regular
+    streamed = []
+    assert enumerate_regular(NESTED, on_accept=streamed.append).count == 16
+    assert set(streamed) == regular
 
 
 def test_worker_count_does_not_change_output():
-    runs = [enumerate_regular(HEXAGON, jobs=j, collect=True) for j in (1, 2, 8)]
-    assert runs[0].encodings == runs[1].encodings == runs[2].encodings
-    assert all(r.count == 32 for r in runs)
+    runs = [accepted(HEXAGON, jobs=j) for j in (1, 2, 8)]
+    assert runs[0] == runs[1] == runs[2]
+    assert len(runs[0]) == 32
 
 
-def test_on_accept_streams_in_collection_order():
+def test_on_accept_streams_each_acceptance_once():
     streamed = []
-    res = enumerate_regular(VERONESE, on_accept=streamed.append, collect=True)
-    assert streamed == res.encodings
+    res = enumerate_regular(VERONESE, on_accept=streamed.append)
+    assert len(set(streamed)) == len(streamed) == res.count == 14
 
 
 def test_budget_stops_and_resume_completes(tmp_path):
@@ -104,23 +112,23 @@ def test_budget_stops_and_resume_completes(tmp_path):
     assert not state.done
     assert len(state.accepted) >= 10
 
-    res = enumerate_regular(HEXAGON, checkpoint_path=path, resume=True, collect=True)
-    assert res.complete
+    resumed = []
+    res = enumerate_regular(HEXAGON, checkpoint_path=path, resume=True, on_accept=resumed.append)
     assert res.count == 32
-    fresh = enumerate_regular(HEXAGON, collect=True)
-    assert set(res.encodings) == set(fresh.encodings)
+    fresh = accepted(HEXAGON)
+    assert set(resumed) == set(fresh)
 
     # the file now carries the done marker: one more resume is a no-op read
-    again = enumerate_regular(HEXAGON, checkpoint_path=path, resume=True, collect=True)
-    assert again.complete
-    assert again.count == 32
-    assert set(again.encodings) == set(fresh.encodings)
+    again = []
+    res = enumerate_regular(HEXAGON, checkpoint_path=path, resume=True, on_accept=again.append)
+    assert res.count == 32
+    assert set(again) == set(fresh)
 
 
 def test_resume_replays_every_acceptance_once(tmp_path):
-    # the on_accept stream of a resumed run is the collected list, holds
-    # every regular triangulation once and matches the uninterrupted run
-    fresh = enumerate_regular(HEXAGON, collect=True)
+    # the on_accept stream of a resumed run holds every regular
+    # triangulation once and matches the uninterrupted run
+    fresh = accepted(HEXAGON)
     path = str(tmp_path / "hex.ckpt")
     with pytest.raises(BudgetExceeded):
         enumerate_regular(HEXAGON, budget=10, checkpoint_path=path)
@@ -128,9 +136,9 @@ def test_resume_replays_every_acceptance_once(tmp_path):
         streamed = []
         res = enumerate_regular(
             HEXAGON, checkpoint_path=path, resume=True,
-            on_accept=streamed.append, collect=True,
+            on_accept=streamed.append,
         )
-        assert streamed == res.encodings == fresh.encodings
+        assert streamed == fresh
         assert len(set(streamed)) == res.count == 32
 
 
@@ -148,20 +156,17 @@ def test_resume_after_truncation(tmp_path):
     streamed = []
     res = enumerate_regular(
         HEXAGON, checkpoint_path=path, resume=True,
-        on_accept=streamed.append, collect=True,
+        on_accept=streamed.append,
     )
-    assert res.complete
     assert res.count == 32
-    fresh = enumerate_regular(HEXAGON, collect=True)
-    assert set(res.encodings) == set(fresh.encodings)
-    assert streamed == res.encodings
+    assert set(streamed) == set(accepted(HEXAGON))
 
 
 def test_resume_from_a_cut_at_every_byte(tmp_path):
     # a writer killed at any byte leaves a prefix of the finished file;
     # each prefix resumes to the same triangulations, each streamed once
     path = str(tmp_path / "veronese.ckpt")
-    fresh = sorted(enumerate_regular(VERONESE, checkpoint_path=path, collect=True).encodings)
+    fresh = sorted(accepted(VERONESE, checkpoint_path=path))
     with open(path, "rb") as fh:
         data = fh.read()
     for cut in range(len(data) + 1):
@@ -170,10 +175,10 @@ def test_resume_from_a_cut_at_every_byte(tmp_path):
         streamed = []
         res = enumerate_regular(
             VERONESE, checkpoint_path=path, resume=True,
-            on_accept=streamed.append, collect=True,
+            on_accept=streamed.append,
         )
-        assert res.complete, cut
-        assert sorted(res.encodings) == sorted(streamed) == fresh, cut
+        assert res.count == len(streamed), cut
+        assert sorted(streamed) == fresh, cut
         assert read_checkpoint(path).done, cut
 
 
@@ -333,7 +338,7 @@ def test_version_1_checkpoint_resumes_from_a_cut_at_every_byte(tmp_path):
     # the inline frontiers of the older layout are redundant: every prefix
     # resumes to the uninterrupted run's encodings and acceptance stream
     path = str(tmp_path / "veronese.ckpt")
-    fresh = enumerate_regular(VERONESE, checkpoint_path=path, collect=True).encodings
+    fresh = accepted(VERONESE, checkpoint_path=path)
     _write_records(path, _as_version_1(_records(path)))
     with open(path, "rb") as fh:
         data = fh.read()
@@ -344,10 +349,10 @@ def test_version_1_checkpoint_resumes_from_a_cut_at_every_byte(tmp_path):
         streamed = []
         res = enumerate_regular(
             VERONESE, checkpoint_path=path, resume=True,
-            on_accept=streamed.append, collect=True,
+            on_accept=streamed.append,
         )
-        assert res.complete, cut
-        assert streamed == res.encodings == fresh, cut
+        assert res.count == len(streamed), cut
+        assert streamed == fresh, cut
         assert read_checkpoint(path).done, cut
 
 
@@ -362,8 +367,7 @@ def test_version_1_inline_frontier_is_not_read(tmp_path):
         if rec.get("t") == "commit":
             rec["frontier"] = ["1,2,x", 7]
     _write_records(path, records)
-    res = enumerate_regular(HEXAGON, checkpoint_path=path, resume=True, collect=True)
-    assert res.encodings == enumerate_regular(HEXAGON, collect=True).encodings
+    assert accepted(HEXAGON, checkpoint_path=path, resume=True) == accepted(HEXAGON)
 
 
 def test_a_fresh_walk_encodes_each_acceptance_once_and_decodes_nothing(tmp_path, monkeypatch):
@@ -383,11 +387,11 @@ def test_a_fresh_walk_encodes_each_acceptance_once_and_decodes_nothing(tmp_path,
     streamed = []
     res = enumerate_regular(
         NESTED, checkpoint_path=str(tmp_path / "nested.ckpt"),
-        on_accept=streamed.append, collect=True,
+        on_accept=streamed.append,
     )
     assert res.count == 16  # two of the 18 flip-graph nodes are rejected
     assert calls == {"encode": 16}
-    assert streamed == res.encodings
+    assert len(set(streamed)) == 16
 
 
 _UNDER_O = """
@@ -448,10 +452,15 @@ def test_count_matches_the_brute_force_oracle(config):
 @settings(max_examples=50, deadline=None)
 @given(_planar())
 def test_flips_undo_and_quick_regularity_agrees(config):
-    # each neighbour is decided alone and with its parent's hint
+    # each neighbour is decided alone and with its parent's hint; every
+    # circuit's side is the one the per-point scan finds
     eng = engine(config)
-    for enc in enumerate_regular(config, collect=True).encodings:
+    full = Engine(config)
+    full.frame = ()  # fold rows over every column
+    for enc in accepted(config):
         t = Triangulation.decode(config, enc)
+        for circ, _ in eng.circuits(t.masks):
+            assert triangulation._present_side(t.masks, circ) == present_side(t.masks, circ)
         _, parent = eng.regular_quick(t.masks)
         for circ in supported_flips(t):
             nb = flip(t, circ)
@@ -460,16 +469,14 @@ def test_flips_undo_and_quick_regularity_agrees(config):
             for hint in (None, (parent, circ)):
                 ok, heights = eng.regular_quick(nb.masks, hint=hint)
                 assert ok == regular
-                if ok:  # the heights are 0 on the frame and rebuild nb
+                if not ok:
+                    continue
+                if hint is None:  # the LP's heights are 0 on the frame
                     assert all(heights[l - 1] == 0 for l in eng.frame)
-                    rebuilt = lower_hull_subdivision(config.points, heights)
-                    assert sorted(rebuilt) == sorted(nb.masks)
-
-
-def _stream(config, **kwargs):
-    streamed = []
-    enumerate_regular(config, on_accept=streamed.append, **kwargs)
-    return streamed
+                for row in full.fold_rows(nb.masks):
+                    assert sum(r * h for r, h in zip(row, heights)) > 0
+                rebuilt = lower_hull_subdivision(config.points, heights)
+                assert sorted(rebuilt) == sorted(nb.masks)
 
 
 def counted_lp(monkeypatch):
@@ -489,12 +496,12 @@ def test_the_stream_is_the_same_when_no_hint_certifies(monkeypatch):
     # hints only spare LPs: with the certifier failing every time, every
     # decision goes to strict_feasible, and the encodings do not change
     config = prism_configuration(fixture("4b"))
-    hinted = _stream(config)
+    hinted = accepted(config)
     calls = counted_lp(monkeypatch)
     monkeypatch.setattr(triangulation.Engine, "_across_wall", lambda self, *hint: None)
-    assert _stream(config) == hinted
+    assert accepted(config) == hinted
     assert len(calls) == 1326  # the seed and 1,325 flip candidates
-    assert _stream(config, jobs=2) == hinted
+    assert accepted(config, jobs=2) == hinted
     assert len(hinted) == 1270
 
 

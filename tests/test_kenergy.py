@@ -1,11 +1,12 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regtriang import kenergy, lp, triangulation
+from regtriang import geometry, kenergy, lp, triangulation
 from regtriang.errors import (
     CheckFailed,
     DimensionUnsupported,
@@ -313,6 +314,31 @@ def test_one_refinement_per_function(monkeypatch):
     assert k_energy_pairing(f) == energy
     assert induced_triangulation(f)[1] == 1
     assert builds == [4]
+
+
+def test_both_energies_walk_the_hull_cells_once(monkeypatch):
+    # the normalized volume is kept on the polytope: the engine, the
+    # Hurwitz degree and both energies read it from one walk of its cells
+    walks = Counter()
+
+    class Walked(list):
+        def __iter__(self):
+            walks[id(self)] += 1
+            return super().__iter__()
+
+    build = geometry._Hull.__init__
+
+    def counted(self, pts, dim):
+        build(self, pts, dim)
+        self.cells = Walked(self.cells)
+
+    monkeypatch.setattr(geometry._Hull, "__init__", counted)
+    config = PointConfiguration(HEXAGON.points)
+    f = PLFunction.from_heights(config, [0, 1, 1, 1, 1, 1, 1])
+    k_energy_integral(f)
+    k_energy_pairing(f)
+    assert walks[id(config.polytope.hull.cells)] == 1
+    assert set(walks.values()) == {1}
 
 
 def test_one_refinement_per_probed_dilation(monkeypatch):

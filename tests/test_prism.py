@@ -4,7 +4,6 @@ from operator import or_
 
 import pytest
 
-from regtriang.enumeration import enumerate_regular
 from regtriang.errors import DimensionUnsupported
 from regtriang.geometry import PointConfiguration
 from regtriang.triangulation import (
@@ -27,6 +26,8 @@ from regtriang.prism import (
     vertical_triangulation,
 )
 
+from test_enumeration import accepted
+
 SQUARE = PointConfiguration([(0, 0), (1, 0), (1, 1), (0, 1)])
 
 VERONESE = PointConfiguration([(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)])
@@ -48,8 +49,7 @@ FIFTEEN = (
 
 
 def all_regular(config):
-    res = enumerate_regular(config, collect=True)
-    return [Triangulation.decode(config, enc) for enc in res.encodings]
+    return [Triangulation.decode(config, enc) for enc in accepted(config)]
 
 
 def test_prism_points_are_two_stacked_copies():
@@ -85,9 +85,9 @@ def test_vertical_over_square_diagonals():
 def test_triangle_prisms_and_their_folds():
     for base, fold in ((UNIT_TRIANGLE, 4), (BIG_TRIANGLE, 16)):
         pr = prism_configuration(base)
-        res = enumerate_regular(pr, collect=True)
-        assert res.count == 6
-        for enc in res.encodings:
+        encodings = accepted(pr)
+        assert len(encodings) == 6
+        for enc in encodings:
             t = Triangulation.decode(pr, enc)
             top = eta_k(t, 3)
             for i in range(1, 4):
@@ -228,7 +228,7 @@ def test_vertical_triangulations_have_no_cubic_mixed_simplex():
 def cube_mixed_triangulations():
     pr = prism_configuration(SQUARE)
     out = []
-    for enc in enumerate_regular(pr, collect=True).encodings:
+    for enc in accepted(pr):
         t = Triangulation.decode(pr, enc)
         found = find_cubic_mixed(t)
         if found:

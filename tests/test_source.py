@@ -191,8 +191,9 @@ from regtriang.fixtures import fixture
 from regtriang.prism import prism_configuration
 
 def run():
-    config = prism_configuration(fixture("4b"))
-    return enumerate_regular(config, jobs=2, collect=True).encodings
+    streamed = []
+    enumerate_regular(prism_configuration(fixture("4b")), jobs=2, on_accept=streamed.append)
+    return streamed
 
 plain = run()
 tracer = layertrace.Tracer()
@@ -234,7 +235,9 @@ from regtriang.fixtures import fixture
 from regtriang.prism import prism_configuration
 
 def run():
-    return enumerate_regular(prism_configuration(fixture("4b")), collect=True).encodings
+    streamed = []
+    enumerate_regular(prism_configuration(fixture("4b")), on_accept=streamed.append)
+    return streamed
 
 plain = run()
 tracer = layertrace.Tracer()

@@ -38,8 +38,14 @@ from regtriang.triangulation import (
     supported_flips,
 )
 
-from oracles import fold_rows, meet_in_common_face, pairwise_verdict, placing_cells
-from test_enumeration import counted_lp
+from oracles import (
+    fold_rows,
+    meet_in_common_face,
+    pairwise_verdict,
+    placing_cells,
+    present_side,
+)
+from test_enumeration import accepted, counted_lp
 
 SQUARE = PointConfiguration([(0, 0), (1, 0), (1, 1), (0, 1)])
 
@@ -202,7 +208,7 @@ def test_validating_fixture_prisms_solves_no_lp(monkeypatch):
 
     for name in ("square", "triangle", "triangle4", "3", "4a", "4b", "4c"):
         config = prism_configuration(fixture(name))
-        encodings = enumerate_regular(config, collect=True).encodings
+        encodings = accepted(config)
         with monkeypatch.context() as patched:
             patched.setattr(lp, "_phase1", no_lp)
             for enc in encodings:
@@ -413,10 +419,13 @@ def test_fold_rows_are_affine_dependences_and_heights_rebuild(config):
     frame = eng.frame
     assert rank_int([list(config.point(l)) + [1] for l in frame]) == len(frame) == config.dim + 1
     kept = [l - 1 for l in config.labels() if l not in frame]
-    for enc in enumerate_regular(config, collect=True).encodings:
+    for enc in accepted(config):
         t = Triangulation.decode(config, enc)
         rows = full.fold_rows(t.masks)
-        assert rows == fold_rows(config.points, t.masks)
+        oracle = fold_rows(config.points, t.masks)
+        # the oracle's rows in order, each once: walls of one circuit repeat
+        assert rows == [row for k, row in enumerate(oracle) if row not in oracle[:k]]
+        assert len({tuple(row) for row in rows}) == len(rows)
         assert [[row[j] for j in kept] for row in rows] == eng.fold_rows(t.masks)
         for row in rows:
             assert sum(row) == 0
@@ -434,6 +443,7 @@ def test_hinted_decisions_on_prisms_agree_with_is_regular(name, monkeypatch):
     # is decided with the parent's heights and the flipped circuit
     config = prism_configuration(fixture(name))
     eng = engine(config)
+    full = full_column_engine(config)
     found = []
     with pytest.raises(BudgetExceeded):
         enumerate_regular(config, budget=40, on_accept=found.append)
@@ -453,11 +463,34 @@ def test_hinted_decisions_on_prisms_agree_with_is_regular(name, monkeypatch):
             if ok:
                 accepted += 1
                 certified += by_hint
-                assert all(hinted[l - 1] == 0 for l in eng.frame)
+                if by_hint:  # every fold row is positive on the moved heights
+                    for row in full.fold_rows(nb.masks):
+                        assert sum(r * h for r, h in zip(row, hinted)) > 0
+                else:  # the LP's heights are 0 on the frame
+                    assert all(hinted[l - 1] == 0 for l in eng.frame)
                 rebuilt = lower_hull_subdivision(config.points, hinted)
                 assert sorted(rebuilt) == sorted(nb.masks)
     # most accepted neighbours need no LP
     assert 2 * certified > accepted > 0
+
+
+@pytest.mark.parametrize("name, count", [("4b", 1270), ("5a", 26540)])
+def test_grouped_sides_equal_the_scan(name, count, monkeypatch):
+    # every circuit the walk asks about, supported or not, on every
+    # regular triangulation of the prism: one grouping pass finds the side
+    # the per-point scan finds
+    grouped = triangulation._present_side
+    asked = []
+
+    def checked(masks, circ):
+        side = grouped(masks, circ)
+        assert side == present_side(masks, circ)
+        asked.append(side is not None)
+        return side
+
+    monkeypatch.setattr(triangulation, "_present_side", checked)
+    assert enumerate_regular(prism_configuration(fixture(name))).count == count
+    assert 0 < sum(asked) < len(asked)
 
 
 _END = st.one_of(st.none(), st.tuples(st.integers(-60, 60), st.integers(1, 12)))
@@ -489,7 +522,7 @@ def test_simplest_between_is_the_least_denominator_in_the_interval(lo, hi):
 def _regular_heights(config):
     eng = engine(config)
     out = []
-    for enc in enumerate_regular(config, collect=True).encodings:
+    for enc in accepted(config):
         ok, heights = eng.regular_quick(Triangulation.decode(config, enc).masks)
         out.append(heights)
     return out
@@ -519,7 +552,7 @@ def test_a_wrong_hint_leaves_a_regular_triangulation_regular():
     eng = engine(NESTED)
     lies = _regular_heights(NESTED)
     circuits = list(eng._circuits.values())
-    for enc in enumerate_regular(NESTED, collect=True).encodings:
+    for enc in accepted(NESTED):
         t = Triangulation.decode(NESTED, enc)
         for heights, circ in zip(lies, circuits):
             ok, found = eng.regular_quick(t.masks, hint=(heights, circ))

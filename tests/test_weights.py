@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from oracles import hull_faces
-from regtriang.enumeration import enumerate_regular
+from test_enumeration import accepted
 from regtriang.fixtures import fixture
 from regtriang.geometry import PointConfiguration
 from regtriang.linalg import normalized_simplex_volume
@@ -106,8 +106,7 @@ def reference_eta(triangulation, k):
 
 
 def all_regular(config):
-    res = enumerate_regular(config, collect=True)
-    return [Triangulation.decode(config, enc) for enc in res.encodings]
+    return [Triangulation.decode(config, enc) for enc in accepted(config)]
 
 
 def test_square_weight_vectors():
