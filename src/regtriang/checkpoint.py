@@ -4,13 +4,15 @@ Layout (version 2): a header line, then one "v" record per accepted
 triangulation in acceptance order, a {"t": "commit", "level", "count"}
 record closing each search level, and a final "done" record. The frontier
 a commit opens is the v records since the previous commit. A resumed run
-needs all v records (the visited set), the last commit with its frontier,
-and the v records after it (acceptances from the interrupted level).
+replays the v records up to the last commit and walks the level after it
+again: the v records written after the last commit are read and checked
+like the others, then dropped, and the writer truncates the file at the
+last commit and writes that level anew.
 Version 1 commits also repeat their frontier; the reader ignores that
 copy and otherwise reads both versions alike.
-A trailing partial line from a killed writer is tolerated, and so is a
-file cut inside its header line, which holds nothing yet; corruption
-anywhere else is an error.
+A trailing partial line from a killed writer (one without its newline)
+is tolerated, and so is a file cut inside its header line, which holds
+nothing yet; corruption anywhere else is an error.
 """
 
 import json
@@ -27,12 +29,9 @@ _HEADER_START = b'{"config": '
 
 class CheckpointWriter:
     def __init__(self, path, config_digest=None, params=None, append=False, valid_bytes=None):
-        if append:  # after the intact records read_checkpoint measured, header included
-            self.fh = open(path, "r+")
-            self.fh.seek(valid_bytes - 1)
-            self.fh.truncate(valid_bytes)
-            if self.fh.read(1) != "\n":  # the last record was cut just before its newline
-                self.fh.write("\n")
+        if append:  # after the last commit read_checkpoint found
+            os.truncate(path, valid_bytes)
+            self.fh = open(path, "a")
         else:
             self.fh = open(path, "w")
             header = {
@@ -70,7 +69,7 @@ class CheckpointState:
         self.closed = None
         self.level = 0
         self.done = False
-        self.valid_bytes = 0  # extent of intact records, for safe appends
+        self.valid_bytes = 0  # extent up to the header, last commit or done, for appends
 
 
 def _count(path, rec, key):
@@ -87,6 +86,7 @@ def read_checkpoint(path):
     configuration is left to the caller.
     """
     state = CheckpointState()
+    offset = 0
     with open(path, "rb") as fh:
         first = fh.readline()
         if not first.endswith(b"\n") and (
@@ -94,19 +94,20 @@ def read_checkpoint(path):
         ):
             return state  # cut inside the header: no configuration, no frontier
         for number, line in enumerate(chain([first], fh), 1):
+            if not line.endswith(b"\n"):
+                break  # partial trailing line from an interrupted write
             try:
                 rec = json.loads(line)
             except ValueError:
-                if not fh.readline():
-                    break  # partial trailing line from an interrupted write
                 raise CheckpointCorrupt(f"{path}: bad record on line {number}")
-            state.valid_bytes += len(line)
+            offset += len(line)
             if number == 1:
                 if not isinstance(rec, dict) or rec.get("magic") != MAGIC:
                     raise CheckpointCorrupt(f"{path}: missing header")
                 if rec.get("version") not in (1, VERSION):
                     raise CheckpointCorrupt(f"{path}: unsupported version {rec.get('version')}")
                 state.config_digest = rec.get("config")
+                state.valid_bytes = offset
                 continue
             if state.done:
                 raise CheckpointCorrupt(f"{path}: records after done marker")
@@ -127,6 +128,8 @@ def read_checkpoint(path):
                 state.done = True
             else:
                 raise CheckpointCorrupt(f"{path}: unknown record type {kind!r}")
+            if kind != "v":  # a resumed writer keeps the file up to here
+                state.valid_bytes = offset
     if not state.valid_bytes:
         raise CheckpointCorrupt(f"{path}: no complete records")
     return state

@@ -110,8 +110,12 @@ def _emit(report, out_path):
         sys.stdout.write(text)
 
 
-def _enumeration_kwargs(args):
-    checkpoint = getattr(args, "checkpoint", None)
+def _enumeration_kwargs(args, label=None):
+    """The global flags as enumerate_regular keywords. A table row's
+    checkpoint is the --checkpoint file with the row's label appended."""
+    checkpoint = args.checkpoint
+    if checkpoint and label:
+        checkpoint = f"{checkpoint}.{label}"
     return {
         "jobs": args.jobs,
         "budget": args.budget,
@@ -127,12 +131,12 @@ def cmd_triang(args):
     if args.prism:
         config = prism_configuration(config)
     encodings = []
-    result = enumerate_regular(
+    count = enumerate_regular(
         config,
         on_accept=None if args.count_only else encodings.append,
         **_enumeration_kwargs(args),
     )
-    report = {"config": config.name, "count": result.count}
+    report = {"config": config.name, "count": count}
     if not args.count_only:
         report["triangulations"] = sorted(encodings)
     return report
@@ -176,12 +180,12 @@ def cmd_vectors(args):
 
 def cmd_polytope(args):
     config = load_config(args.config)
-    if args.kind == "secondary":
-        poly = secondary_polytope(config, jobs=args.jobs)
-    elif args.kind == "hurwitz":
-        poly = hurwitz_candidate_polytope(config, jobs=args.jobs)
-    else:
-        poly = prism_hurwitz_polytope(config, **_enumeration_kwargs(args))
+    hull = {
+        "secondary": secondary_polytope,
+        "hurwitz": hurwitz_candidate_polytope,
+        "prism-hurwitz": prism_hurwitz_polytope,
+    }[args.kind]
+    poly = hull(config, **_enumeration_kwargs(args))
     vertices = sorted(poly.vertices)
     return {
         "config": config.name,
@@ -209,10 +213,10 @@ def cmd_check(args):
             "match": half_sum == formula,
         }
     if args.kind == "normal-equiv":
-        _, chow, hurwitz = base_polytopes(config, jobs=args.jobs)
+        _, chow, hurwitz = base_polytopes(config, **_enumeration_kwargs(args))
         report = vertex_edge_correspondence(chow, hurwitz)
         return {"config": config.name, **report}
-    report = standard_semistability(config, jobs=args.jobs)
+    report = standard_semistability(config, **_enumeration_kwargs(args))
     return {"config": config.name, **report}
 
 
@@ -318,17 +322,8 @@ def cmd_table(args):
     labels = TABLE_ROWS + (TABLE_ROWS_EXTENDED if args.extended else ())
     rows = []
     for label in labels:
-        checkpoint = None
-        if args.checkpoint:
-            checkpoint = f"{args.checkpoint}.{label}"
         try:
-            report = check_conjecture(
-                fixture(label),
-                jobs=args.jobs,
-                budget=args.budget,
-                checkpoint_path=checkpoint,
-                resume=bool(checkpoint),
-            )
+            report = check_conjecture(fixture(label), **_enumeration_kwargs(args, label))
         except BudgetExceeded:
             rows.append({"label": label, "skipped": "budget"})
             continue

@@ -13,18 +13,17 @@ circuits of its fold rows (shared Circuit objects, each once), which its
 expansion reads instead of building the list again, and its primitive
 integer heights. A candidate keeps references to the heights of the
 first parent that reached it and to the circuit flipped, the hint
-`regular_quick` tries before its LP. Entries decided by pool workers,
-which return only their verdict, and entries read back from a
-checkpoint, which holds no heights, carry neither: a resumed run
-re-derives one level's heights by LP.
+`regular_quick` tries before its LP. Only serial decisions carry heights:
+pool workers return their verdict alone, and a checkpoint holds none, so
+a resumed run re-derives one level's heights by LP.
 
-Visited and rejected triangulations are kept as 96-bit blake2b digests of
-the mask tuple, on the assumption that no two share one (odds about
-n^2 / 2^97 for n triangulations, below 10^-17 for a million).
+One set holds every triangulation the walk has reached, added when it is
+first queued, as a 96-bit blake2b digest of its mask tuple, on the
+assumption that no two share one (odds about n^2 / 2^97 for n
+triangulations, below 10^-17 for a million).
 """
 
 import multiprocessing
-from dataclasses import dataclass
 from hashlib import blake2b
 from os import path as os_path
 
@@ -48,11 +47,6 @@ from .triangulation import (
 )
 
 DEFAULT_BUDGET = 2_000_000
-
-
-@dataclass
-class EnumerationResult:
-    count: int
 
 
 def _digest(masks):
@@ -118,26 +112,24 @@ def enumerate_regular(
     resume=False,
     on_accept=None,
 ):
-    """All regular triangulations of the configuration, counted by BFS.
+    """The number of regular triangulations of the configuration, by BFS.
 
     The flip graph of regular triangulations is connected, so the walk
     from the placing triangulation reaches every one of them. on_accept
-    is called once per accepted encoding, in acceptance order: a resumed
-    run first replays every acceptance its checkpoint holds, in file
-    order, and then continues the search, so the stream is the same as an
-    uninterrupted run's. Raises BudgetExceeded, after flushing the
-    checkpoint, when the accepted count reaches the budget with work
-    still pending.
+    is called once per accepted encoding, in acceptance order. A resumed
+    run first replays the acceptances its checkpoint committed, in file
+    order, and then walks the level after the last commit again, so the
+    stream and the finished file are the same as an uninterrupted run's.
+    Raises BudgetExceeded, after flushing the checkpoint, when the
+    accepted count reaches the budget with work still pending.
     """
     eng = engine(config)
-    visited = set()
-    rejected = set()
+    seen = set()
     count = 0
     writer = None
 
-    def accept(masks, enc):
+    def accept(enc):
         nonlocal count
-        visited.add(_digest(masks))
         count += 1
         if writer:
             writer.record(enc)
@@ -156,19 +148,16 @@ def enumerate_regular(
         if state.closed is None:
             state = None  # killed before its first commit: start afresh
     if state is not None:
-        tail = []  # masks of the records from the last commit's frontier on
-        for k, enc in enumerate(state.accepted):  # no writer yet, so nothing is recorded again
+        frontier = []
+        for k, enc in enumerate(state.accepted):
             masks = _record_masks(config, enc, checkpoint_path)
-            accept(masks, enc)
-            if k >= state.opened:
-                tail.append(masks)
+            if k < state.closed:  # committed; no writer yet, so nothing is recorded again
+                seen.add(_digest(masks))
+                accept(enc)
+                if k >= state.opened:
+                    frontier.append((tuple(map(eng.cell_masks.setdefault, masks, masks)), None, None))
         if state.done:
-            return EnumerationResult(count)
-        split = state.closed - state.opened
-        frontier = [
-            (tuple(map(eng.cell_masks.setdefault, m, m)), None, None) for m in tail[:split]
-        ]
-        partial = {_digest(m) for m in tail[split:]}
+            return count
         level = state.level
         writer = CheckpointWriter(
             checkpoint_path, append=True, valid_bytes=state.valid_bytes
@@ -184,45 +173,38 @@ def enumerate_regular(
         ok, circuits, heights = next(_decisions(eng, [(seed.masks, None)]))
         if not ok:
             raise CheckFailed(f"placing triangulation {seed.encode()} not certified regular")
-        accept(seed.masks, seed.encode())
+        seen.add(_digest(seed.masks))
+        accept(seed.encode())
         if writer:
             writer.commit(0, count)
         frontier = [(seed.masks, circuits, heights)]
         level = 0
-        partial = set()
 
     pool = None
     try:
         if jobs > 1:
             pool = multiprocessing.Pool(jobs, _init_worker, (config.points,))
         while frontier:
-            next_frontier = []
-            cand = {}
+            todo = []
             for masks, circuits, heights in frontier:
                 for nb, circ in _neighbor_encodings(config, masks, circuits):
                     d = _digest(nb)
-                    if d in partial:  # accepted before the interruption: not decided again
-                        partial.remove(d)
-                        next_frontier.append((nb, None, None))
-                    elif d not in visited and d not in rejected and d not in cand:
-                        # the hint of the first parent to reach it
-                        cand[d] = (nb, None if heights is None else (heights, circ))
-            todo = sorted(cand.values(), key=lambda entry: entry[0])
+                    if d not in seen:  # the hint of the first parent to reach it
+                        seen.add(d)
+                        todo.append((nb, None if heights is None else (heights, circ)))
+            todo.sort()  # by mask tuple, no two of which are equal
             if pool and len(todo) >= jobs * 4:
                 chunk = max(1, len(todo) // (jobs * 8))
                 oks = pool.map(_decide, [masks for masks, _ in todo], chunksize=chunk)
                 decisions = ((ok, None, None) for ok in oks)
             else:
                 decisions = _decisions(eng, todo)
+            frontier = []
             for (masks, _), (ok, circuits, heights) in zip(todo, decisions):
                 if ok:
-                    accept(masks, Triangulation.from_masks(config, masks).encode())
-                    next_frontier.append((masks, circuits, heights))
-                else:
-                    rejected.add(_digest(masks))
-            partial = set()
+                    accept(Triangulation.from_masks(config, masks).encode())
+                    frontier.append((masks, circuits, heights))
             level += 1
-            frontier = next_frontier
             if writer:
                 writer.commit(level, count)
             if count >= budget and frontier:
@@ -233,7 +215,7 @@ def enumerate_regular(
         if writer:
             writer.done(count)
             writer = None
-        return EnumerationResult(count)
+        return count
     finally:
         if writer:
             writer.close()

@@ -5,7 +5,8 @@ one question needs: the secondary polytope (top-dimensional GKZ
 vectors), the hull of the Hurwitz vectors, and the hull of the folded
 prism vectors. Each keeps one representative
 triangulation per distinct generating vector, so a vertex can always be
-traced back to a witness.
+traced back to a witness. Every function here that enumerates hands its
+keywords (jobs, budget, checkpoint_path, resume) to enumerate_regular.
 """
 
 from .enumeration import enumerate_regular
@@ -63,7 +64,7 @@ def sweep(config, vectors, **enumeration):
         for kind, vector in vectors.items():
             found[kind].setdefault(vector(t).values, enc)
 
-    count = enumerate_regular(config, on_accept=accept, **enumeration).count
+    count = enumerate_regular(config, on_accept=accept, **enumeration)
     return count, {kind: WeightPolytope(kind, gens) for kind, gens in found.items()}
 
 
@@ -71,21 +72,21 @@ def _chow_vector(t):
     return eta_k(t, t.config.polytope.dim)
 
 
-def secondary_polytope(config, *, jobs=1):
+def secondary_polytope(config, **enumeration):
     """Hull of the top GKZ vectors; vertices are the regular triangulations."""
-    return sweep(config, {"chow": _chow_vector}, jobs=jobs)[1]["chow"]
+    return sweep(config, {"chow": _chow_vector}, **enumeration)[1]["chow"]
 
 
-def hurwitz_candidate_polytope(config, *, jobs=1):
+def hurwitz_candidate_polytope(config, **enumeration):
     """Hull of the Hurwitz vectors of all regular triangulations."""
     kind = "hurwitz-candidate"
-    return sweep(config, {kind: hurwitz_vector}, jobs=jobs)[1][kind]
+    return sweep(config, {kind: hurwitz_vector}, **enumeration)[1][kind]
 
 
-def base_polytopes(config, *, jobs=1):
+def base_polytopes(config, **enumeration):
     """(count, secondary polytope, Hurwitz hull) from one base enumeration."""
     vectors = {"chow": _chow_vector, "hurwitz-candidate": hurwitz_vector}
-    count, hulls = sweep(config, vectors, jobs=jobs)
+    count, hulls = sweep(config, vectors, **enumeration)
     return count, hulls["chow"], hulls["hurwitz-candidate"]
 
 
@@ -203,7 +204,7 @@ def check_conjecture(config, *, jobs=1, **enumeration):
     }
 
 
-def standard_semistability(config, *, jobs=1):
+def standard_semistability(config, **enumeration):
     """Scaled-hull inclusion after projecting out the all-ones direction.
 
     The primary check scales the Chow hull by the Hurwitz degree and
@@ -215,7 +216,7 @@ def standard_semistability(config, *, jobs=1):
     (n+1)/n on one side and can disagree; both booleans are returned.
     """
     n = config.polytope.dim
-    _, chow, hurwitz = base_polytopes(config, jobs=jobs)
+    _, chow, hurwitz = base_polytopes(config, **enumeration)
     deg_chow = degree_from_polytope(chow, n + 1)
     deg_hurwitz = degree_from_polytope(hurwitz, n)
     chow_pi = [project_pi(v) for v in chow.vertices]

@@ -542,7 +542,7 @@ def placing_triangulation(config, order=None):
 
 
 def supported_flips(triangulation, circuits=None):
-    """All circuits currently supporting a flip, in canonical order.
+    """All circuits currently supporting a flip, in the order of the list.
 
     `circuits` are the circuits of the triangulation's Engine.circuits
     pairs, if the caller has them; each comes once, since no circuit of a
@@ -558,7 +558,7 @@ def supported_flips(triangulation, circuits=None):
         side = _present_side(masks, c)
         if side is not None:
             sides[c.support] = side
-    return sorted((c for c in circuits if c.support in sides), key=lambda c: _labels(c.support))
+    return [c for c in circuits if c.support in sides]
 
 
 def _present_side(masks, circ):

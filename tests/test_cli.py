@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from regtriang.cli import main
+from regtriang.checkpoint import read_checkpoint
+from regtriang.cli import TABLE_ROWS, main
 
 from test_enumeration import REPEATED_CELL_PLACES, with_repeated_cell
 
@@ -499,3 +500,44 @@ def test_table_budget_skip(capsys):
     }
     for label in ("4a", "4b", "4c", "5a", "5b"):
         assert rows[label] == {"label": label, "skipped": "budget"}
+
+
+# every command that enumerates, with a budget below its count
+BUDGETED = {
+    "triang enumerate hexagon": 5,
+    "vectors gkz hexagon --all": 5,
+    "polytope secondary hexagon": 5,
+    "polytope hurwitz hexagon": 5,
+    "polytope prism-hurwitz square": 5,
+    "check conjecture square": 5,
+    "check normal-equiv hexagon": 5,
+    "check k-semistable hexagon": 5,
+    "table reflexive": 200,
+}
+
+
+@pytest.mark.parametrize("command", list(BUDGETED))
+def test_global_flags_reach_every_command_that_enumerates(tmp_path, capsys, command):
+    # --budget stops each one, and --checkpoint writes a file that a
+    # second run resumes to the same report
+    args = command.split()
+    budget = ["--budget", str(BUDGETED[command])]
+    ck = str(tmp_path / "ck")
+    stopped = run_cli(args + budget, capsys)
+    assert run_cli(args + budget + ["--checkpoint", ck], capsys) == stopped
+    if args[0] == "table":
+        # a row over budget is skipped, and each row has its own file
+        assert stopped[0] == 0
+        rows = json.loads(stopped[1])["rows"]
+        assert {"label": "4a", "skipped": "budget"} in rows
+        assert run_cli(args + budget + ["--checkpoint", ck], capsys) == stopped
+        assert read_checkpoint(f"{ck}.3").done
+        assert not any(read_checkpoint(f"{ck}.{label}").done for label in TABLE_ROWS[1:])
+        return
+    assert stopped[0] == 3
+    assert json.loads(stopped[1])["error"]["type"] == "BudgetExceeded"
+    plain = run_cli(args, capsys)
+    assert plain[0] == 0
+    for _ in range(2):  # stopped by the budget, then finished
+        assert run_cli(args + ["--checkpoint", ck], capsys) == plain
+    assert read_checkpoint(ck).done

@@ -9,9 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import regtriang
-from regtriang import triangulation
+from regtriang import enumeration, triangulation
 
-from regtriang.checkpoint import read_checkpoint
+from regtriang.checkpoint import CheckpointWriter, read_checkpoint
 from regtriang.enumeration import enumerate_regular
 from regtriang.errors import BudgetExceeded, CheckpointCorrupt, DigestMismatch
 from regtriang.fixtures import fixture
@@ -49,19 +49,19 @@ def accepted(config, **kwargs):
 
 def test_square_has_two_triangulations():
     streamed = []
-    assert enumerate_regular(SQUARE, on_accept=streamed.append).count == 2
+    assert enumerate_regular(SQUARE, on_accept=streamed.append) == 2
     assert set(streamed) == {"1,2,3;1,3,4", "1,2,4;2,3,4"}
 
 
 def test_known_counts():
-    assert enumerate_regular(VERONESE).count == 14
-    assert enumerate_regular(HEXAGON).count == 32
+    assert enumerate_regular(VERONESE) == 14
+    assert enumerate_regular(HEXAGON) == 32
 
 
 def test_every_reported_triangulation_is_valid_and_regular():
     streamed = []
-    res = enumerate_regular(VERONESE, on_accept=streamed.append)
-    assert len(set(streamed)) == res.count
+    count = enumerate_regular(VERONESE, on_accept=streamed.append)
+    assert len(set(streamed)) == count
     for enc in streamed:
         t = Triangulation.decode(VERONESE, enc)
         t.validate()
@@ -88,7 +88,7 @@ def test_nested_count_matches_unrestricted_exploration():
     assert len(regular) == 16
 
     streamed = []
-    assert enumerate_regular(NESTED, on_accept=streamed.append).count == 16
+    assert enumerate_regular(NESTED, on_accept=streamed.append) == 16
     assert set(streamed) == regular
 
 
@@ -100,8 +100,8 @@ def test_worker_count_does_not_change_output():
 
 def test_on_accept_streams_each_acceptance_once():
     streamed = []
-    res = enumerate_regular(VERONESE, on_accept=streamed.append)
-    assert len(set(streamed)) == len(streamed) == res.count == 14
+    count = enumerate_regular(VERONESE, on_accept=streamed.append)
+    assert len(set(streamed)) == len(streamed) == count == 14
 
 
 def test_budget_stops_and_resume_completes(tmp_path):
@@ -113,15 +113,15 @@ def test_budget_stops_and_resume_completes(tmp_path):
     assert len(state.accepted) >= 10
 
     resumed = []
-    res = enumerate_regular(HEXAGON, checkpoint_path=path, resume=True, on_accept=resumed.append)
-    assert res.count == 32
+    count = enumerate_regular(HEXAGON, checkpoint_path=path, resume=True, on_accept=resumed.append)
+    assert count == 32
     fresh = accepted(HEXAGON)
     assert set(resumed) == set(fresh)
 
     # the file now carries the done marker: one more resume is a no-op read
     again = []
-    res = enumerate_regular(HEXAGON, checkpoint_path=path, resume=True, on_accept=again.append)
-    assert res.count == 32
+    count = enumerate_regular(HEXAGON, checkpoint_path=path, resume=True, on_accept=again.append)
+    assert count == 32
     assert set(again) == set(fresh)
 
 
@@ -134,12 +134,12 @@ def test_resume_replays_every_acceptance_once(tmp_path):
         enumerate_regular(HEXAGON, budget=10, checkpoint_path=path)
     for _ in range(2):  # stopped by the budget, then finished
         streamed = []
-        res = enumerate_regular(
+        count = enumerate_regular(
             HEXAGON, checkpoint_path=path, resume=True,
             on_accept=streamed.append,
         )
         assert streamed == fresh
-        assert len(set(streamed)) == res.count == 32
+        assert len(set(streamed)) == count == 32
 
 
 def test_resume_after_truncation(tmp_path):
@@ -154,32 +154,66 @@ def test_resume_after_truncation(tmp_path):
     assert not state.done
 
     streamed = []
-    res = enumerate_regular(
+    count = enumerate_regular(
         HEXAGON, checkpoint_path=path, resume=True,
         on_accept=streamed.append,
     )
-    assert res.count == 32
+    assert count == 32
     assert set(streamed) == set(accepted(HEXAGON))
 
 
 def test_resume_from_a_cut_at_every_byte(tmp_path):
     # a writer killed at any byte leaves a prefix of the finished file;
-    # each prefix resumes to the same triangulations, each streamed once
+    # each prefix resumes to the uninterrupted run's stream and file
     path = str(tmp_path / "veronese.ckpt")
-    fresh = sorted(accepted(VERONESE, checkpoint_path=path))
+    fresh = accepted(VERONESE, checkpoint_path=path)
     with open(path, "rb") as fh:
         data = fh.read()
     for cut in range(len(data) + 1):
         with open(path, "wb") as fh:
             fh.write(data[:cut])
         streamed = []
-        res = enumerate_regular(
+        count = enumerate_regular(
             VERONESE, checkpoint_path=path, resume=True,
             on_accept=streamed.append,
         )
-        assert res.count == len(streamed), cut
-        assert sorted(streamed) == fresh, cut
-        assert read_checkpoint(path).done, cut
+        assert count == len(streamed), cut
+        assert streamed == fresh, cut
+        with open(path, "rb") as fh:
+            assert fh.read() == data, cut
+
+
+@pytest.mark.parametrize("name, level", [("hexagon", 1), ("4b-prism", 2)])
+def test_a_level_cut_between_records_is_walked_again(tmp_path, monkeypatch, name, level):
+    # a kill between two records of one level leaves them after the last
+    # commit: they are dropped, the file is truncated at that commit, and
+    # the level is written anew, as the uninterrupted run wrote it
+    config = HEXAGON if name == "hexagon" else prism_configuration(fixture("4b"))
+    path = str(tmp_path / "ck")
+    fresh = accepted(config, checkpoint_path=path)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    lines = data.splitlines(keepends=True)
+    commits = [i for i, line in enumerate(lines) if b'"commit"' in line]
+    start, end = commits[level], commits[level + 1]  # the commits closing `level` and the next
+    assert end - start > 2
+    committed = b"".join(lines[: start + 1])
+    with open(path, "wb") as fh:
+        fh.write(b"".join(lines[: (start + end) // 2 + 1]))
+
+    reopened = []
+
+    class Writer(CheckpointWriter):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            with open(path, "rb") as fh:
+                reopened.append(fh.read())
+
+    monkeypatch.setattr(enumeration, "CheckpointWriter", Writer)
+    assert accepted(config, checkpoint_path=path, resume=True) == fresh
+    assert reopened == [committed]
+    with open(path, "rb") as fh:
+        assert fh.read() == data
 
 
 def test_resume_rejects_other_configuration(tmp_path):
@@ -334,6 +368,18 @@ def test_malformed_line_is_corrupt(tmp_path, line):
         read_checkpoint(path)
 
 
+def test_a_garbled_last_line_is_corrupt(tmp_path):
+    # a kill leaves a prefix of the file, so a line that ends in its
+    # newline was written whole, and one that is not JSON is corruption
+    path = str(tmp_path / "hex.ckpt")
+    with pytest.raises(BudgetExceeded):
+        enumerate_regular(HEXAGON, budget=10, checkpoint_path=path)
+    with open(path, "ab") as fh:
+        fh.write(b'{"t": "v", "enc": "1,2\n')
+    with pytest.raises(CheckpointCorrupt):
+        read_checkpoint(path)
+
+
 def test_version_1_checkpoint_resumes_from_a_cut_at_every_byte(tmp_path):
     # the inline frontiers of the older layout are redundant: every prefix
     # resumes to the uninterrupted run's encodings and acceptance stream
@@ -347,11 +393,11 @@ def test_version_1_checkpoint_resumes_from_a_cut_at_every_byte(tmp_path):
         with open(path, "wb") as fh:
             fh.write(data[:cut])
         streamed = []
-        res = enumerate_regular(
+        count = enumerate_regular(
             VERONESE, checkpoint_path=path, resume=True,
             on_accept=streamed.append,
         )
-        assert res.count == len(streamed), cut
+        assert count == len(streamed), cut
         assert streamed == fresh, cut
         assert read_checkpoint(path).done, cut
 
@@ -385,11 +431,11 @@ def test_a_fresh_walk_encodes_each_acceptance_once_and_decodes_nothing(tmp_path,
     monkeypatch.setattr(Triangulation, "decode", classmethod(counted_decode))
     monkeypatch.setattr(Triangulation, "encode", counted_encode)
     streamed = []
-    res = enumerate_regular(
+    count = enumerate_regular(
         NESTED, checkpoint_path=str(tmp_path / "nested.ckpt"),
         on_accept=streamed.append,
     )
-    assert res.count == 16  # two of the 18 flip-graph nodes are rejected
+    assert count == 16  # two of the 18 flip-graph nodes are rejected
     assert calls == {"encode": 16}
     assert len(set(streamed)) == 16
 
@@ -402,7 +448,7 @@ from regtriang.fixtures import fixture
 from regtriang.prism import prism_configuration, vertical_triangulation
 
 square = fixture("square")
-print(enumerate_regular(prism_configuration(square)).count)
+print(enumerate_regular(prism_configuration(square)))
 base = triangulation.placing_triangulation(square)
 triangulation.Engine.regular_quick = lambda self, masks: (False, None)
 try:
@@ -446,7 +492,7 @@ def test_count_matches_the_brute_force_oracle(config):
     for cells in all_triangulations(config):
         if is_regular(Triangulation(config, [tuple(c) for c in cells])):
             regular += 1
-    assert enumerate_regular(config).count == regular
+    assert enumerate_regular(config) == regular
 
 
 @settings(max_examples=50, deadline=None)
@@ -505,10 +551,26 @@ def test_the_stream_is_the_same_when_no_hint_certifies(monkeypatch):
     assert len(hinted) == 1270
 
 
+def test_the_order_of_flips_picks_no_hint(monkeypatch):
+    # a parent reaches each neighbour once, so the first parent to reach a
+    # candidate, whose heights are its hint, does not depend on the order
+    # of the parent's flips: reversed, they give the same stream and LPs
+    calls = counted_lp(monkeypatch)
+    stream = accepted(prism_configuration(fixture("4b")))
+    in_order = len(calls)
+    listed = enumeration.supported_flips
+    monkeypatch.setattr(
+        enumeration, "supported_flips", lambda t, circuits=None: listed(t, circuits)[::-1]
+    )
+    assert accepted(prism_configuration(fixture("4b"))) == stream
+    assert len(calls) == 2 * in_order
+    assert len(stream) == 1270
+
+
 def test_most_decisions_on_the_4b_prism_need_no_lp(monkeypatch):
     # the seed and 1,325 flip candidates are decided, 1,270 accepted; the
     # 56 rejections are the LP's, and the parents' heights certify most
     # of the rest
     calls = counted_lp(monkeypatch)
-    assert enumerate_regular(prism_configuration(fixture("4b"))).count == 1270
+    assert enumerate_regular(prism_configuration(fixture("4b"))) == 1270
     assert 56 <= len(calls) < 1325 // 2

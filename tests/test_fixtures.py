@@ -78,4 +78,4 @@ def test_reflexive_fixture_lattice_data(label):
 def test_reflexive_base_counts(label, count):
     # [DERIVED] regular-triangulation counts of the polygons themselves,
     # cross-checked against a brute-force oracle in the oracle tests.
-    assert enumerate_regular(fixture(label)).count == count
+    assert enumerate_regular(fixture(label)) == count

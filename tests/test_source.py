@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import importlib.util
 import json
 import subprocess
@@ -9,6 +10,7 @@ import sys
 from pathlib import Path
 
 import regtriang
+from regtriang import polytopes
 from regtriang.enumeration import enumerate_regular
 from regtriang.fixtures import fixture
 from regtriang.geometry import PointConfiguration
@@ -42,6 +44,30 @@ def test_polytopes_leaves_checkpoints_to_the_enumeration():
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
     assert not {m for m in imported if m and "checkpoint" in m}
+
+
+def test_every_polytope_that_sweeps_takes_the_enumeration_keywords():
+    # a jobs-only signature would drop the CLI's --budget and --checkpoint
+    calls = {
+        node.name: {
+            call.func.id
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+        }
+        for node in _tree("polytopes.py").body
+        if isinstance(node, ast.FunctionDef)
+    }
+    sweeping = {"sweep"}
+    while True:  # the functions that reach sweep, directly or not
+        reach = sweeping | {name for name, called in calls.items() if called & sweeping}
+        if reach == sweeping:
+            break
+        sweeping = reach
+    public = sorted(name for name in sweeping if not name.startswith("_"))
+    assert {"secondary_polytope", "standard_semistability", "check_conjecture"} <= set(public)
+    for name in public:
+        params = inspect.signature(getattr(polytopes, name)).parameters.values()
+        assert [p.name for p in params if p.kind is p.VAR_KEYWORD] == ["enumeration"], name
 
 
 def test_kenergy_imports_nothing_from_lp():
@@ -177,7 +203,7 @@ def test_tracer_reads_the_engine_caches():
     # names, which neither the ast guards nor an untraced run read
     layertrace = _perfbench_module("layertrace")
     config = PointConfiguration(fixture("hexagon").points)
-    assert enumerate_regular(config).count == 32
+    assert enumerate_regular(config) == 32
     assert layertrace.engine_cache_entries([engine(config)]) > 0
 
 

@@ -246,7 +246,7 @@ def test_enumeration_computes_no_barycentric_coordinates(monkeypatch):
     rows = json.loads(golden.read_text())["rows"]
     for name in ("3", "4a", "4b", "4c"):
         want = next(row["prism_count"] for row in rows if row["label"] == name)
-        assert enumerate_regular(prism_configuration(fixture(name))).count == want
+        assert enumerate_regular(prism_configuration(fixture(name))) == want
 
 
 def test_square_flip_is_the_diagonal_circuit():
@@ -489,7 +489,7 @@ def test_grouped_sides_equal_the_scan(name, count, monkeypatch):
         return side
 
     monkeypatch.setattr(triangulation, "_present_side", checked)
-    assert enumerate_regular(prism_configuration(fixture(name))).count == count
+    assert enumerate_regular(prism_configuration(fixture(name))) == count
     assert 0 < sum(asked) < len(asked)
 
 
