@@ -342,7 +342,8 @@ _EXIT_CODES = (
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker count (default 1)")
+                        help="workers for candidates with no parent's heights "
+                        "to try, after a resume (default 1)")
     common.add_argument("--budget", type=int, default=DEFAULT_BUDGET, metavar="N",
                         help="max accepted enumeration nodes")
     common.add_argument("--checkpoint", metavar="FILE",

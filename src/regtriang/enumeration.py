@@ -3,19 +3,21 @@
 The walk is level-synchronous and runs on cell masks: the frontier, the
 candidates and the pool's tasks are sorted tuples of cell bitmasks. Every
 flip neighbor of the frontier is generated serially, the regularity
-decisions run in sorted order (optionally across a worker pool), and the
-accepted triangulations form the next frontier, so the result is the same
-for any worker count. A triangulation is encoded once, when accepted;
-encodings are decoded only when a checkpoint resumes.
+decisions are merged in sorted order, and the accepted triangulations
+form the next frontier, so the result is the same for any worker count.
+A triangulation is encoded once, when accepted; encodings are decoded
+only when a checkpoint resumes.
 
 A frontier entry carries what its decision computed: its mask tuple, the
 circuits of its fold rows (shared Circuit objects, each once), which its
 expansion reads instead of building the list again, and its primitive
-integer heights. A candidate keeps references to the heights of the
-first parent that reached it and to the circuit flipped, the hint
-`regular_quick` tries before its LP. Only serial decisions carry heights:
-pool workers return their verdict alone, and a checkpoint holds none, so
-a resumed run re-derives one level's heights by LP.
+integer heights. A candidate keeps, in frontier order, references to the
+heights of every parent that reached it and to the circuit each one
+flipped: the hints `regular_quick` tries before its LP. The parent
+process decides every candidate that has a hint. A checkpoint holds no
+heights, so the first level after a resume has none; only such
+candidates go to the worker pool, which is started the first time a
+level has enough of them, and workers return their verdict alone.
 
 One set holds every triangulation the walk has reached, added when it is
 first queued, as a 96-bit blake2b digest of its mask tuple, on the
@@ -61,12 +63,12 @@ def _neighbor_encodings(config, masks, circuits=None):
 
 
 def _decisions(eng, todo):
-    """(ok, circuits, heights) of each (masks, hint) in turn: one circuit
+    """(ok, circuits, heights) of each (masks, hints) in turn: one circuit
     list per candidate serves its decision and, if it is accepted, its
     expansion."""
-    for masks, hint in todo:
+    for masks, hints in todo:
         circuits = eng.circuits(masks)
-        ok, heights = eng.regular_quick(masks, circuits, hint)
+        ok, heights = eng.regular_quick(masks, circuits, hints)
         yield ok, tuple(c for c, _ in circuits) if ok else None, heights
 
 
@@ -170,7 +172,7 @@ def enumerate_regular(
                 params={"budget": budget, "jobs": jobs},
             )
         seed = placing_triangulation(config)
-        ok, circuits, heights = next(_decisions(eng, [(seed.masks, None)]))
+        ok, circuits, heights = next(_decisions(eng, [(seed.masks, ())]))
         if not ok:
             raise CheckFailed(f"placing triangulation {seed.encode()} not certified regular")
         seen.add(_digest(seed.masks))
@@ -182,25 +184,34 @@ def enumerate_regular(
 
     pool = None
     try:
-        if jobs > 1:
-            pool = multiprocessing.Pool(jobs, _init_worker, (config.points,))
         while frontier:
-            todo = []
+            fresh = {}  # digest -> (masks, hints) of each candidate first reached now
             for masks, circuits, heights in frontier:
                 for nb, circ in _neighbor_encodings(config, masks, circuits):
                     d = _digest(nb)
-                    if d not in seen:  # the hint of the first parent to reach it
-                        seen.add(d)
-                        todo.append((nb, None if heights is None else (heights, circ)))
-            todo.sort()  # by mask tuple, no two of which are equal
-            if pool and len(todo) >= jobs * 4:
-                chunk = max(1, len(todo) // (jobs * 8))
-                oks = pool.map(_decide, [masks for masks, _ in todo], chunksize=chunk)
-                decisions = ((ok, None, None) for ok in oks)
-            else:
-                decisions = _decisions(eng, todo)
+                    if d in seen:
+                        continue
+                    if d not in fresh:
+                        fresh[d] = (nb, [])
+                    if heights is not None:
+                        fresh[d][1].append((heights, circ))
+            seen.update(fresh)
+            todo = sorted(fresh.values())  # by mask tuple, no two of which are equal
+            # candidates with no parent's heights go to the pool, the rest stay here
+            unhinted = [masks for masks, hints in todo if not hints]
+            pooled = None
+            if jobs > 1 and len(unhinted) >= jobs * 4:
+                if pool is None:
+                    pool = multiprocessing.Pool(jobs, _init_worker, (config.points,))
+                chunk = max(1, len(unhinted) // (jobs * 8))
+                pooled = iter(pool.map(_decide, unhinted, chunksize=chunk))
+            served = _decisions(eng, [c for c in todo if c[1] or pooled is None])
             frontier = []
-            for (masks, _), (ok, circuits, heights) in zip(todo, decisions):
+            for masks, hints in todo:
+                if hints or pooled is None:
+                    ok, circuits, heights = next(served)
+                else:
+                    ok, circuits, heights = next(pooled), None, None
                 if ok:
                     accept(Triangulation.from_masks(config, masks).encode())
                     frontier.append((masks, circuits, heights))

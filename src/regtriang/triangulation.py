@@ -19,10 +19,11 @@ over the cells and leaves it on the triangulation for `flip`.
 A flip crosses one wall of the secondary fan (GKZ; De Loera-Rambau-Santos,
 *Triangulations*, ch. 5), so the strictly convex heights of the
 triangulation it came from, moved by the flipped circuit's own
-dependence, usually certify the new one. `regular_quick` takes such a
-hint, (heights, circuit), and tries it before any LP; heights it
-certifies are checked on every fold row in integers, and
-`strict_feasible` runs only when the hint fails.
+dependence, usually certify the new one. `regular_quick` takes such
+hints, (heights, circuit), one from each accepted triangulation that
+reaches the candidate by a flip, and tries them in order before any LP;
+heights a hint certifies are checked on every fold row in integers, and
+`strict_feasible` runs only when every hint fails.
 """
 
 import weakref
@@ -350,23 +351,23 @@ class Engine:
         free = self._free_columns
         return [[row[i] for i in free] for row in rows]
 
-    def regular_quick(self, masks, circuits=None, hint=None):
+    def regular_quick(self, masks, circuits=None, hints=()):
         """Fast regularity decision via strict wall-fold feasibility.
 
-        `circuits` is `self.circuits(masks)`, if the caller has it. `hint`
-        is (heights, circuit): heights returned for a triangulation that
-        `masks` is one flip away from, across that circuit. It is tried
-        first (see _across_wall) and may be wrong: what it yields counts
-        only once every fold row is checked positive on it in integers.
-        Otherwise `strict_feasible` decides on `fold_rows`, and a rejection
-        carries its checked dual certificate. Returns (True, heights),
-        primitive integer heights (0 on the frame when the LP found them),
-        or (False, None).
+        `circuits` is `self.circuits(masks)`, if the caller has it. Each
+        of `hints` is (heights, circuit): heights returned for a
+        triangulation that `masks` is one flip away from, across that
+        circuit. They are tried in order (see _across_wall) and may be
+        wrong: what one yields counts only once every fold row is checked
+        positive on it in integers. If none does, `strict_feasible`
+        decides on `fold_rows`, and a rejection carries its checked dual
+        certificate. Returns (True, heights), primitive integer heights (0
+        on the frame when the LP found them), or (False, None).
         """
         if circuits is None:
             circuits = self.circuits(masks)
-        if hint is not None:
-            heights = self._across_wall(circuits, *hint)
+        for g, circ in hints:
+            heights = self._across_wall(circuits, g, circ)
             if heights is not None:
                 return True, heights
         heights = [0] * self.m

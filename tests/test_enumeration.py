@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -512,12 +513,12 @@ def test_flips_undo_and_quick_regularity_agrees(config):
             nb = flip(t, circ)
             assert flip(nb, circ).encode() == enc
             regular = bool(is_regular(nb))
-            for hint in (None, (parent, circ)):
-                ok, heights = eng.regular_quick(nb.masks, hint=hint)
+            for hints in ((), [(parent, circ)]):
+                ok, heights = eng.regular_quick(nb.masks, hints=hints)
                 assert ok == regular
                 if not ok:
                     continue
-                if hint is None:  # the LP's heights are 0 on the frame
+                if not hints:  # the LP's heights are 0 on the frame
                     assert all(heights[l - 1] == 0 for l in eng.frame)
                 for row in full.fold_rows(nb.masks):
                     assert sum(r * h for r, h in zip(row, heights)) > 0
@@ -574,3 +575,57 @@ def test_most_decisions_on_the_4b_prism_need_no_lp(monkeypatch):
     calls = counted_lp(monkeypatch)
     assert enumerate_regular(prism_configuration(fixture("4b"))) == 1270
     assert 56 <= len(calls) < 1325 // 2
+
+
+def test_a_fresh_pooled_run_starts_no_pool(monkeypatch):
+    # every candidate of a fresh walk has a parent's heights, so the parent
+    # decides them all, with the LPs of the serial walk
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a fresh walk started a pool")
+
+    monkeypatch.setattr(enumeration.multiprocessing, "Pool", no_pool)
+    calls = counted_lp(monkeypatch)
+    pooled = accepted(prism_configuration(fixture("4b")), jobs=2)
+    lps = len(calls)
+    assert accepted(prism_configuration(fixture("4b"))) == pooled
+    assert len(calls) == 2 * lps
+    assert len(pooled) == 1270
+
+
+def test_a_resumed_pooled_run_starts_one_pool(tmp_path, monkeypatch):
+    # a checkpoint holds no heights, so the resumed level goes to the pool;
+    # the stream is the serial resume's
+    config = prism_configuration(fixture("4b"))
+    stopped = str(tmp_path / "stopped.ckpt")
+    with pytest.raises(BudgetExceeded):
+        enumerate_regular(config, budget=400, checkpoint_path=stopped)
+    pools = []
+    real = enumeration.multiprocessing.Pool
+
+    def counted_pool(*args, **kwargs):
+        pools.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(enumeration.multiprocessing, "Pool", counted_pool)
+    streams = {}
+    for jobs in (1, 2):
+        path = shutil.copy(stopped, tmp_path / f"jobs{jobs}.ckpt")
+        streams[jobs] = accepted(config, jobs=jobs, checkpoint_path=str(path), resume=True)
+        assert len(pools) == jobs - 1
+    assert streams[1] == streams[2] == accepted(config)
+
+
+def test_every_parents_hint_spares_lps(monkeypatch):
+    # a candidate is offered the heights of every parent that reaches it;
+    # with its first parent's alone, twice as many LPs run on the 4b prism.
+    # The 56 rejections are the LP's.
+    calls = counted_lp(monkeypatch)
+    stream = accepted(prism_configuration(fixture("4b")))
+    assert len(calls) == 178
+    quick = Engine.regular_quick
+    monkeypatch.setattr(
+        Engine, "regular_quick",
+        lambda self, masks, circuits=None, hints=(): quick(self, masks, circuits, hints[:1]),
+    )
+    assert accepted(prism_configuration(fixture("4b"))) == stream
+    assert len(calls) == 178 + 372

@@ -208,17 +208,30 @@ def test_tracer_reads_the_engine_caches():
 
 
 _TRACED_POOL = """
-import json, sys
+import json, os, shutil, sys, tempfile
 from collections import Counter
 sys.path[:0] = sys.argv[1:]
 import layertrace
 from regtriang.enumeration import enumerate_regular
+from regtriang.errors import BudgetExceeded
 from regtriang.fixtures import fixture
 from regtriang.prism import prism_configuration
 
+config = prism_configuration(fixture("4b"))
+work = tempfile.mkdtemp()
+stopped = os.path.join(work, "stopped.jsonl")
+try:
+    enumerate_regular(config, budget=400, checkpoint_path=stopped)
+except BudgetExceeded:
+    pass
+
 def run():
+    # a checkpoint holds no heights, so the resumed walk's candidates have no
+    # hint and go to the pool
+    path = shutil.copy(stopped, os.path.join(work, "resumed.jsonl"))
     streamed = []
-    enumerate_regular(prism_configuration(fixture("4b")), jobs=2, on_accept=streamed.append)
+    enumerate_regular(config, jobs=2, checkpoint_path=path, resume=True,
+                      on_accept=streamed.append)
     return streamed
 
 plain = run()
@@ -233,6 +246,7 @@ tracer.merge = counted_merge
 tracer.active = True
 traced = run()
 tracer.active = False
+shutil.rmtree(work)
 print(json.dumps({"count": len(plain), "same": traced == plain,
                   "worker_pivots": merged["pivots"]}))
 """

@@ -456,7 +456,7 @@ def test_hinted_decisions_on_prisms_agree_with_is_regular(name, monkeypatch):
         for circ in supported_flips(t):
             nb = flip(t, circ)
             before = len(lp_calls)
-            ok, hinted = eng.regular_quick(nb.masks, hint=(heights, circ))
+            ok, hinted = eng.regular_quick(nb.masks, hints=[(heights, circ)])
             by_hint = len(lp_calls) == before
             assert ok == bool(is_regular(nb))
             assert ok or not by_hint  # every rejection is the LP's
@@ -543,7 +543,7 @@ def test_a_lying_hint_never_makes_a_pinwheel_regular(monkeypatch):
         masks = Triangulation(NESTED, cells).masks
         for heights in lies:
             for circ in circuits:
-                assert eng.regular_quick(masks, hint=(heights, circ)) == (False, None)
+                assert eng.regular_quick(masks, hints=[(heights, circ)]) == (False, None)
     assert len(lp_calls) == 2 * len(lies) * len(circuits)
 
 
@@ -555,7 +555,7 @@ def test_a_wrong_hint_leaves_a_regular_triangulation_regular():
     for enc in accepted(NESTED):
         t = Triangulation.decode(NESTED, enc)
         for heights, circ in zip(lies, circuits):
-            ok, found = eng.regular_quick(t.masks, hint=(heights, circ))
+            ok, found = eng.regular_quick(t.masks, hints=[(heights, circ)])
             assert ok
             assert sorted(lower_hull_subdivision(NESTED.points, found)) == sorted(t.masks)
 
@@ -572,7 +572,7 @@ def test_hinted_heights_stay_primitive_integers():
             nb = flip(t, circ)
             if nb.masks in seen:
                 continue
-            ok, hinted = eng.regular_quick(nb.masks, hint=(heights, circ))
+            ok, hinted = eng.regular_quick(nb.masks, hints=[(heights, circ)])
             if ok:
                 seen.add(nb.masks)
                 t, heights = nb, hinted
