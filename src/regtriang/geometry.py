@@ -13,13 +13,20 @@ Polytopes, 2.1). Each facet is held as the bitmask of the points on it,
 so the smallest face holding some points is the AND of the facet masks
 that hold them, the vertices are the points that are their own smallest
 face, and the faces are the non-empty intersections of facet masks.
+
+A set that does not span its space is read on the chart columns of its
+affine span: the pivot columns of the Hermite form of its directions,
+which depend only on the direction space, and onto which the span
+projects injectively. Hulls, normals and fans live on those columns, and
+volumes are lattice volumes from the maximal minors of the edges.
 """
 
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, prod
+from itertools import product
+from math import ceil, floor, lcm
 
 from .errors import BadConfig, CheckFailed, DimensionUnsupported
 from .linalg import (
@@ -27,12 +34,10 @@ from .linalg import (
     hnf,
     integer_kernel,
     lattice_length,
+    normalized_simplex_volume,
     primitive,
     rank_rows,
-    saturation_basis,
     scale_to_integers,
-    solve_integer_saturated,
-    solve_rational,
 )
 
 
@@ -90,9 +95,10 @@ def place(points, order):
     wall's index mask mapped to (apex, functional). The apex is the other
     vertex of the wall's cell. The functional f is zero on the wall and
     positive at the apex as f[0] + f[1:].x, with x read on the chart
-    columns of the final span, which are all coordinates when the points
-    span them. Functionals are derived once per wall and again only when
-    the span grows.
+    columns of the final span (see _span), which are all coordinates when
+    the points span them; _Hull reads its hull on the same chart.
+    Functionals are derived once per wall and again only when the span
+    grows.
     """
     order = iter(order)
     first = next(order)
@@ -145,25 +151,29 @@ def place(points, order):
 
 
 class _Hull:
-    """Facets, vertices and a placing triangulation of distinct points
-    spanning their `dim` coordinates."""
+    """Facets, vertices and a placing triangulation of distinct points whose
+    affine span has dimension `dim`, read on the span's chart columns."""
 
-    def __init__(self, pts, dim):
-        self.pts = pts
-        self.dim = dim
-        self.cells, walls = place(pts, range(len(pts)))
+    def __init__(self, points, dim):
+        self.cells, walls = place(points, range(len(points)))
         if self.cells[0].bit_count() != dim + 1:
-            raise CheckFailed("hull input not full-dimensional")
-        self.full = (1 << len(pts)) - 1
+            raise CheckFailed("placed hull disagrees with the rank of the points")
+        # the first cell spans the set, and place read its walls on this chart
+        self.cols, self.eqs = _span([points[i] for i in bit_indices(self.cells[0])])
+        if len(self.cols) == len(points[0]):
+            self.chart = points
+        else:
+            self.chart = [tuple(p[c] for c in self.cols) for p in points]
+        self.full = (1 << len(points)) - 1
         # facets: (primitive integer inner normal, offset, mask of tight points)
         self.facets = []
         normals = {primitive(f[1:]) for _, f in walls.values()} if dim else ()
         for u in normals:
-            values = [_dot(u, p) for p in pts]
+            values = [_dot(u, p) for p in self.chart]
             off = min(values)
             self.facets.append((u, off, sum(1 << i for i, v in enumerate(values) if v == off)))
         self.facets.sort()
-        self.vertices = tuple(i for i in range(len(pts)) if self.face(1 << i) == 1 << i)
+        self.vertices = tuple(i for i in range(len(points)) if self.face(1 << i) == 1 << i)
         self.vertex_mask = sum(1 << i for i in self.vertices)
 
     def face(self, mask):
@@ -197,14 +207,7 @@ class LatticePolytope:
                 seen[t] = len(seen)
         self.points = list(seen)
         self.ambient_dim = len(self.points[0])
-        self.base = min(self.points)
-        dirs = []
-        for p in self.points:
-            w, _ = scale_to_integers(tuple(a - b for a, b in zip(p, self.base)))
-            dirs.append(w)
-        self.basis = saturation_basis(dirs, dim=self.ambient_dim)
-        self.dim = len(self.basis)
-        self._reduced = None
+        self.dim = rank_rows(_dirs(self.points, self.points[0]))
         self._hull = None
         self._volume = None
 
@@ -212,17 +215,15 @@ class LatticePolytope:
 
     @property
     def reduced(self):
-        if self._reduced is None:
-            sols = [self._coord_or_none(p) for p in self.points]
-            if None in sols:
-                raise CheckFailed("a point is off the affine hull")
-            self._reduced = sols
-        return self._reduced
+        """The points on the chart columns of their affine span, each
+        coordinate of its input type; the points themselves when they
+        span their space."""
+        return self.hull.chart
 
     @property
     def hull(self):
         if self._hull is None:
-            self._hull = _Hull(self.reduced, self.dim)
+            self._hull = _Hull(self.points, self.dim)
         return self._hull
 
     # -- basic queries -------------------------------------------------
@@ -238,41 +239,26 @@ class LatticePolytope:
 
         Each inequality normal.x >= offset holds on the polytope and is
         tight on the facet; together with the affine hull they cut it out.
+        A normal is the hull's chart normal put back on the chart columns,
+        zero elsewhere: the same inequality on the span.
         """
-        if self.dim == self.ambient_dim:
-            return [(u, c + _dot(u, self.base)) for u, c, _ in self.hull.facets]
+        hull = self.hull
         out = []
-        for u, c, _ in self.hull.facets:
-            n_amb = solve_integer_saturated(self.basis, u)
-            off = c + _dot(n_amb, self.base)
-            g = 0
-            for x in n_amb:
-                g = gcd(g, x)
-            if g > 1:
-                n_amb = tuple(x // g for x in n_amb)
-                off = Fraction(off, g)
-            out.append((tuple(n_amb), off))
+        for u, c, _ in hull.facets:
+            normal = [0] * self.ambient_dim
+            for j, x in zip(hull.cols, u):
+                normal[j] = x
+            out.append((tuple(normal), c))
         return out
 
     def contains(self, point):
-        t = self._coord_or_none(point)
-        if t is None:
+        """Whether the point is on the affine span and on the inner side of
+        every facet, read on the chart."""
+        hull = self.hull
+        if any(_dot(n, point) != c for n, c in hull.eqs):
             return False
-        return all(_dot(u, t) >= c for u, c, _ in self.hull.facets)
-
-    def _coord_or_none(self, point):
-        """Coordinates of the point in the saturated basis from the base
-        point, integral ones as ints (which keeps the hull arithmetic off
-        Fractions), or None when the point is off the affine hull."""
-        diff = [a - b for a, b in zip(point, self.base)]
-        if self.dim < self.ambient_dim:
-            rows = [[self.basis[j][i] for j in range(self.dim)] for i in range(self.ambient_dim)]
-            # an exact solution, or None when the system is inconsistent
-            diff = solve_rational(rows, diff)
-            if diff is None:
-                return None
-        # in full dimension the saturated basis is the identity: no solve
-        return tuple(int(x) if x.denominator == 1 else x for x in diff)
+        x = [point[j] for j in hull.cols]
+        return all(_dot(u, x) >= c for u, c, _ in hull.facets)
 
     # -- faces -----------------------------------------------------------
 
@@ -306,48 +292,41 @@ class LatticePolytope:
     # -- fans, volumes ---------------------------------------------------
 
     def normal_fan(self):
-        """Maximal cones of the normal fan, in reduced coordinates.
+        """Maximal cones of the normal fan, on the chart columns.
 
         Returns a frozenset of cones; each cone is the sorted tuple of the
         primitive inner normals of the facets through one vertex. Two
         polytopes with parallel affine hulls get comparable fans because
-        the reduced basis is canonical for the direction space.
+        the chart columns depend only on the direction space.
         """
         fac = self.hull.facets
         return frozenset(
             tuple(sorted(u for u, _, m in fac if m >> v & 1)) for v in self.hull.vertices
         )
 
-    def triangulate(self):
-        """Simplices (tuples of ambient points) covering the polytope."""
-        return [
-            tuple(self.points[i] for i in bit_indices(cell)) for cell in self.hull.cells
-        ]
-
     def normalized_volume(self):
-        """Normalized volume (dim! times euclidean) in the saturated lattice
-        of the affine hull, read off the reduced coordinates; the hull's
-        cells are walked once per polytope."""
+        """Normalized volume (dim! times euclidean) in the lattice of integer
+        points of the affine hull: the sum over the hull's cells of
+        normalized_simplex_volume, the gcd of the maximal minors of the
+        edges, on each cell's points scaled by s to integers, over s**dim.
+        The hull's cells are walked once per polytope."""
         if self._volume is None:
-            red = self.reduced
             total = 0
             for cell in self.hull.cells:
-                first, *rest = bit_indices(cell)
-                edges = [scale_to_integers(d) for d in _dirs([red[i] for i in rest], red[first])]
-                total += Fraction(abs(det_int([w for w, _ in edges])), prod(s for _, s in edges))
+                pts = [self.points[i] for i in bit_indices(cell)]
+                s = lcm(*(x.denominator for p in pts for x in p))
+                scaled = [tuple(int(x * s) for x in p) for p in pts]
+                total += Fraction(normalized_simplex_volume(scaled), s**self.dim)
             self._volume = int(total) if total.denominator == 1 else total
         return self._volume
 
     def lattice_points(self):
         """All integer points in the polytope, sorted."""
-        from itertools import product as iproduct
-        from math import ceil, floor
-
         vs = self.vertices
         lo = [min(floor(v[i]) for v in vs) for i in range(self.ambient_dim)]
         hi = [max(ceil(v[i]) for v in vs) for i in range(self.ambient_dim)]
         out = []
-        for p in iproduct(*(range(a, b + 1) for a, b in zip(lo, hi))):
+        for p in product(*(range(a, b + 1) for a, b in zip(lo, hi))):
             if self.contains(p):
                 out.append(p)
         return out
@@ -377,12 +356,14 @@ class LatticePolytope:
 def normally_equivalent(p1, p2):
     """Whether two polytopes have the same normal fan.
 
-    Requires parallel affine hulls (equal direction spaces); returns False
-    otherwise. Scaling-invariant by construction.
+    Requires parallel affine hulls (equal direction spaces: the directions
+    of both together have rank dim); returns False otherwise.
+    Scaling-invariant by construction.
     """
-    if p1.ambient_dim != p2.ambient_dim:
+    if (p1.ambient_dim, p1.dim) != (p2.ambient_dim, p2.dim):
         return False
-    if p1.basis != p2.basis:
+    dirs = _dirs(p1.points, p1.points[0]) + _dirs(p2.points, p2.points[0])
+    if rank_rows(dirs) != p1.dim:
         return False
     return p1.normal_fan() == p2.normal_fan()
 

@@ -4,8 +4,8 @@ Everything here is deterministic and exact, with no floating point.
 Two eliminations serve every question. One fraction-free (Bareiss) row
 echelon form gives determinants, ranks and rational solutions; a solve
 scales each equation to integers first and back-substitutes over the
-pivots in fractions.Fraction. Hermite normal forms give lattice bases:
-integer kernels, saturations and integer solutions.
+pivots in fractions.Fraction. Hermite normal forms give lattice bases
+(integer kernels) and the pivot columns of a direction space.
 """
 
 from fractions import Fraction
@@ -198,25 +198,6 @@ def integer_kernel(rows):
     return [u[i] for i in range(d) if not any(h[i])]
 
 
-def saturation_basis(vectors, dim=None):
-    """Canonical basis of span(vectors) ∩ Z^d.
-
-    The result depends only on the rational span, not on the given
-    generating set: it is the HNF basis of the saturated lattice.
-    """
-    vecs = [v for v in vectors if any(v)]
-    if not vecs:
-        if dim is None:
-            raise ValueError("empty span needs explicit ambient dim")
-        return []
-    d = len(vecs[0])
-    k1 = integer_kernel(vecs)
-    if not k1:
-        k1 = [[0] * d]
-    k2 = integer_kernel(k1)
-    return hnf(k2)
-
-
 def solve_rational(a_rows, b):
     """One exact solution of A x = b, or None if inconsistent.
 
@@ -238,32 +219,6 @@ def solve_rational(a_rows, b):
         row, col = a[r], pivots[r]
         x[col] = Fraction(row[n] - sum(row[j] * x[j] for j in pivots[r + 1:]), row[col])
     return x
-
-
-def solve_integer_saturated(basis_rows, w):
-    """Integer N with <N, b_j> = w_j for each row b_j of a saturated basis."""
-    k = len(basis_rows)
-    if k == 0:
-        return ()
-    d = len(basis_rows[0])
-    h, ut = hnf_with_transform([[basis_rows[i][j] for i in range(k)] for j in range(d)])
-    # ut * B^T = h, so B * ut^T = h^T; h^T is k x d with a k x k leading
-    # unimodular block because the basis is saturated.
-    hk = [[h[j][i] for j in range(k)] for i in range(k)]
-    y = solve_rational(hk, w)
-    if y is None:
-        raise ValueError("inconsistent system")
-    n_vec = [Fraction(0)] * d
-    for j in range(k):
-        if y[j]:
-            for t in range(d):
-                n_vec[t] += y[j] * ut[j][t]
-    out = []
-    for x in n_vec:
-        if x.denominator != 1:
-            raise ValueError("no integer solution; basis not saturated?")
-        out.append(int(x))
-    return tuple(out)
 
 
 def affine_dependence(points):

@@ -366,10 +366,13 @@ class Engine:
         """
         if circuits is None:
             circuits = self.circuits(masks)
-        for g, circ in hints:
-            heights = self._across_wall(circuits, g, circ)
-            if heights is not None:
-                return True, heights
+        if hints:
+            # each fold row as its circuit's coefficients and its sign at the apex
+            rows = [(c.coeffs, 1 if c.plus >> (apex - 1) & 1 else -1) for c, apex in circuits]
+            for g, circ in hints:
+                heights = self._across_wall(rows, g, circ)
+                if heights is not None:
+                    return True, heights
         heights = [0] * self.m
         rows = self.fold_rows(masks, circuits)
         if rows:
@@ -380,21 +383,20 @@ class Engine:
                 heights[i] = x
         return True, tuple(heights)
 
-    def _across_wall(self, circuits, g, circ):
+    def _across_wall(self, rows, g, circ):
         """Heights g' = q g - p Z on which every fold row is positive, or None.
 
         g is the hint's heights and Z the circuit's coefficients read as
         heights. Each row r bounds t = p/q through a = r.g and b = r.Z:
         a - t b > 0. t is the simplest rational in the open interval the
         bounds leave, g' is q g - p Z divided by its gcd, and every row is
-        then checked on g'. The rows are read off the (circuit, apex) pairs
-        `circuits`, as fold_rows reads them.
+        then checked on g'. `rows` holds each fold row as its circuit's
+        coefficients and its sign at the apex, built once per candidate by
+        regular_quick.
         """
         direction = [0] * self.m
         for l, c in circ.coeffs:
             direction[l - 1] = c
-        # each row as its circuit's coefficients and its sign at the apex
-        rows = [(c.coeffs, 1 if c.plus >> (apex - 1) & 1 else -1) for c, apex in circuits]
         lo = hi = None  # t > lo and t < hi, each as (num, den) with den > 0
         for coeffs, sign in rows:
             a = b = 0

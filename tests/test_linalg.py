@@ -18,9 +18,7 @@ from regtriang.linalg import (
     primitive_direction,
     rank_int,
     rank_rows,
-    saturation_basis,
     scale_to_integers,
-    solve_integer_saturated,
     solve_rational,
 )
 
@@ -127,35 +125,6 @@ def test_integer_kernel_saturated():
     assert primitive(ker[0]) == tuple(ker[0])
 
 
-def test_saturation_basis_depends_only_on_span():
-    rng = random.Random(5)
-    for _ in range(40):
-        d = rng.randint(2, 5)
-        k = rng.randint(1, d)
-        gens = [[rng.randint(-4, 4) for _ in range(d)] for _ in range(k)]
-        r = rank_rows(gens)
-        sat = saturation_basis(gens, dim=d)
-        assert len(sat) == r
-        # doubling the generators must not change the result
-        doubled = [[2 * x for x in g] for g in gens]
-        assert saturation_basis(doubled, dim=d) == sat
-        # every generator lies in the lattice spanned by sat
-        for g in gens:
-            coords = solve_rational(
-                [[sat[j][i] for j in range(r)] for i in range(d)], g
-            )
-            if r:
-                assert coords is not None
-                assert all(c.denominator == 1 for c in coords)
-
-
-def test_saturation_basis_segment():
-    sat = saturation_basis([(1, -1, 1, -1)], dim=4)
-    assert sat == [(1, -1, 1, -1)]
-    sat2 = saturation_basis([(2, -2, 2, -2)], dim=4)
-    assert sat2 == [(1, -1, 1, -1)]
-
-
 def test_solve_rational():
     x = solve_rational([[2, 0], [0, 4]], [1, 1])
     assert x == [Fraction(1, 2), Fraction(1, 4)]
@@ -220,22 +189,6 @@ def test_one_elimination_matches_the_oracles(system):
     k = min(len(a), n)
     square = [row[:k] for row in ints[:k]]
     assert det_int(square) == cofactor(square)
-
-
-def test_solve_integer_saturated():
-    rng = random.Random(9)
-    for _ in range(40):
-        d = rng.randint(2, 5)
-        k = rng.randint(1, d)
-        gens = [[rng.randint(-4, 4) for _ in range(d)] for _ in range(k)]
-        sat = saturation_basis(gens, dim=d)
-        if len(sat) != k:
-            continue
-        w = [rng.randint(-6, 6) for _ in range(k)]
-        n_vec = solve_integer_saturated(sat, w)
-        assert all(isinstance(v, int) for v in n_vec)
-        for b, wi in zip(sat, w):
-            assert sum(x * y for x, y in zip(b, n_vec)) == wi
 
 
 def test_affine_dependence_square():

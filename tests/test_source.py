@@ -85,6 +85,17 @@ def test_kenergy_imports_nothing_from_lp():
     assert found == []
 
 
+def test_geometry_imports_no_rational_solve():
+    # hulls are read on their span's chart columns: no linear system per point
+    found = [
+        node.lineno
+        for node in ast.walk(_tree("geometry.py"))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and any(a.name.split(".")[-1] == "solve_rational" for a in node.names)
+    ]
+    assert found == []
+
+
 def test_a_max_of_forms_at_its_order_lifts_nothing(monkeypatch):
     # the domains of a max of forms come from the forms, not a lower hull
     from regtriang import triangulation
