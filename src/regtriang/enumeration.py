@@ -86,18 +86,19 @@ def _decide(masks):
 def _record_masks(config, enc, path):
     """Cell masks of a checkpointed encoding, which must be the canonical
     encoding of a triangulation (Triangulation.validate, which solves no
-    LP). Canonical is checked while parsing: each label spelled as
-    str(int), labels ascending in each cell, cells ascending. Its
-    regularity is trusted, not certified again."""
+    LP). Canonical is checked while parsing: each cell's text is the one
+    its mask spells (labels ascending, each as str(int)), and cells
+    ascend. Its regularity is trusted, not certified again."""
     try:
         if isinstance(enc, str):
-            cells = [tuple(map(int, part.split(","))) for part in enc.split(";")]
-            if (
-                ";".join(",".join(map(str, c)) for c in cells) == enc
-                and all(a < b for c in cells for a, b in zip(c, c[1:]))
-                and all(a < b for a, b in zip(cells, cells[1:]))
+            eng = engine(config)
+            parts = enc.split(";")
+            masks = [eng.cell_mask(part) for part in parts]
+            codes = [eng.cell_code(m) for m in masks]
+            if [text for _, text in codes] == parts and all(
+                a < b for (a, _), (b, _) in zip(codes, codes[1:])
             ):
-                t = Triangulation(config, cells)
+                t = Triangulation.from_masks(config, masks)
                 if t.validate():
                     return t.masks
     except (ValueError, DegenerateSimplex, VolumeMismatch, OverlapNotFace):

@@ -2,10 +2,12 @@
 
 A triangulation is the sorted tuple of its cell bitmasks (bit i-1 =
 label i); the sorted-label view and its string encoding are derived on
-first use. A per-configuration engine caches simplex volumes and
-affine dependences, since enumeration revisits the same small sets
-constantly. The dependences decide containment too: a point lies in a
-full-dimensional cell iff it is alone on its side of their circuit.
+first use. A per-configuration engine caches simplex volumes, affine
+dependences, each cell's labels and text (and the mask of each text)
+and each cell's weight shares (see weights), since enumeration revisits
+the same small sets constantly. The dependences decide containment too:
+a point lies in a full-dimensional cell iff it is alone on its side of
+their circuit.
 
 Fold rows and flips read one circuit list per triangulation,
 `Engine.circuits`: the circuit of the two cells across each interior
@@ -112,7 +114,7 @@ class Triangulation:
     @cached_property
     def cells(self):
         """Sorted label tuples of the cells (not aligned with `masks`)."""
-        return tuple(sorted(_labels(m) for m in self.masks))
+        return tuple(sorted(labels for labels, _ in map(engine(self.config).cell_code, self.masks)))
 
     def __eq__(self, other):
         return (
@@ -128,11 +130,11 @@ class Triangulation:
         return f"Triangulation({self.encode()})"
 
     def encode(self):
-        return ";".join(",".join(str(l) for l in c) for c in self.cells)
+        return ";".join(text for _, text in sorted(map(engine(self.config).cell_code, self.masks)))
 
     @classmethod
     def decode(cls, config, text):
-        return cls(config, [map(int, part.split(",")) for part in text.split(";")])
+        return cls.from_masks(config, map(engine(config).cell_mask, text.split(";")))
 
     def validate(self):
         """Check the cells triangulate the hull; raise a specific error.
@@ -215,6 +217,12 @@ class Engine:
         self._bary = {}
         # one int object per cell mask, shared by the mask tuples holding it
         self.cell_masks = {}
+        # {weight map: (fixed faces' sum, {cell mask: share})}, filled by
+        # weights._face_walk
+        self.weight_shares = {}
+        # (labels, text) of each cell mask met, and the mask of each text
+        self._codes = {}
+        self._text_masks = {}
 
     def points_of(self, mask):
         return [self.pts[i] for i in bit_indices(mask)]
@@ -225,6 +233,25 @@ class Engine:
             v = normalized_simplex_volume(self.points_of(mask))
             self._vol[mask] = v
         return v
+
+    def cell_code(self, mask):
+        """(labels, text) of the cell: its labels ascending and their
+        canonical spelling. Only (n+1)-subsets of 1..m are kept, so the
+        memo holds no more than the configuration's possible cells."""
+        code = self._codes.get(mask)
+        if code is None:
+            labels = _labels(mask)
+            code = labels, ",".join(map(str, labels))
+            if mask.bit_count() == self.n + 1 and not mask >> self.m:
+                self._codes[mask] = code
+                self._text_masks[code[1]] = mask
+        return code
+
+    def cell_mask(self, text):
+        """The mask of a cell's text: a memo hit for a canonical text the
+        engine has spelled, else parsed label by label."""
+        mask = self._text_masks.get(text)
+        return _mask(map(int, text.split(","))) if mask is None else mask
 
     def cell_contains(self, cell_mask, label):
         """Whether the point lies in the full-dimensional cell: it is a

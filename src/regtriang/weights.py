@@ -13,8 +13,23 @@ k+1 points. F is a face of the hull, so the points of c on F span a face
 of the simplex c inside F; that face is a k-simplex exactly when it has
 k+1 points, and every massive k-simplex arises so from each cell holding
 it.
+
+A vector sum_k w_k eta_k is therefore summed from per-cell shares, which
+depend on the cell and the weights w alone, so the engine keeps one per
+cell and weight map (like the GKZ vector, a sum of cell volumes:
+De Loera-Rambau-Santos, *Triangulations*, 5.1). A cell's share sums, per
+point, the terms of the cell itself (k = d) and of its walls on hull
+facets (k = d-1): such a wall is on the boundary, so no other cell of T
+holds it, and these terms need no deduplication. A massive simplex of
+dimension d-2 or less may lie in many cells of T (an edge of the hull
+lies in every cell around it), so it must be added once per T, not once
+per cell. A face of the hull whose only points are its k+1 vertices is
+itself such a simplex of every triangulation, and is added once per
+weight map; a cell's share lists the simplices it cuts from the other
+faces, and the walk adds each one that some cell lists once.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .triangulation import engine
@@ -42,32 +57,71 @@ class WeightVector:
 
 
 def _face_walk(triangulation, weights):
-    """sum_k weights[k] * eta_k, from T's cells cut by the hull's k-faces.
+    """sum_k weights[k] * eta_k, summed from the cells' shares.
 
     Only the face dimensions k in `weights` are visited, so k = d alone
     touches the cells and nothing else.
     """
     cfg = triangulation.config
-    n = cfg.dim
     eng = engine(cfg)
-    vals = [0] * len(cfg)
-    for k, weight in weights.items():
-        if k == n:
-            faces = triangulation.masks
-        else:
-            faces = {
-                sm
-                for f in cfg.face_point_masks(k)
-                for c in triangulation.masks
-                if (sm := c & f).bit_count() == k + 1
-            }
-        for sm in faces:
-            x = weight * eng.volume(sm)
-            while sm:
-                low = sm & -sm
-                vals[low.bit_length() - 1] += x
-                sm ^= low
-    return tuple(vals)
+    key = tuple(weights.items())
+    memo = eng.weight_shares.get(key)
+    if memo is None:
+        fixed = [
+            f
+            for k in weights
+            if k < cfg.dim - 1
+            for f in cfg.face_point_masks(k)
+            if f.bit_count() == k + 1
+        ]
+        memo = eng.weight_shares[key] = (tuple(_add([0] * eng.m, eng, weights, fixed)), {})
+    base, shares = memo
+    vals = list(base)
+    lower = set()
+    for c in triangulation.masks:
+        share = shares.get(c)
+        if share is None:
+            share = shares[c] = _share(cfg, eng, weights, c)
+        sums, low = share
+        it = iter(sums)
+        for i, x in zip(it, it):
+            vals[i] += x
+        if low:
+            lower.update(low)
+    return tuple(_add(vals, eng, weights, lower))
+
+
+def _add(vals, eng, weights, simplices):
+    """Add weights[k] times its volume to each point of each k-simplex, in
+    place; vals is indexed by point (a list, or a defaultdict)."""
+    for sm in simplices:
+        x = weights[sm.bit_count() - 1] * eng.volume(sm)
+        while sm:
+            low = sm & -sm
+            vals[low.bit_length() - 1] += x
+            sm ^= low
+    return vals
+
+
+def _share(cfg, eng, weights, c):
+    """The cell's share: (the sums of the terms of c and of its walls on
+    hull facets, flat as (index, value, index, value, ...) with zeros
+    left out; its massive simplices of dimension d-2 or less on faces
+    with more points than vertices)."""
+    n = cfg.dim
+    own = [c] if n in weights else []
+    if n - 1 in weights:
+        own += [sm for f in cfg.face_point_masks(n - 1) if (sm := c & f).bit_count() == n]
+    # a face whose only points are its vertices is fixed, in the walk's base
+    low = tuple(
+        sm
+        for k in weights
+        if k < n - 1
+        for f in cfg.face_point_masks(k)
+        if (sm := c & f).bit_count() == k + 1 and sm != f
+    )
+    vals = _add(defaultdict(int), eng, weights, own)
+    return tuple(y for i, x in vals.items() if x for y in (i, x)), low
 
 
 def eta_k(triangulation, k):

@@ -353,6 +353,36 @@ def test_record_that_repeats_a_cell_is_corrupt(tmp_path, where):
         enumerate_regular(HEXAGON, checkpoint_path=path, resume=True)
 
 
+def test_a_warm_memo_keeps_the_canonical_check(monkeypatch):
+    # once the walk has spelled every cell, records are read cell by cell
+    # from the memo; a record's spelling and order must still be canonical
+    config = PointConfiguration(HEXAGON.points)
+    encs = accepted(config)
+    for enc in encs:
+        assert enumeration._record_masks(config, enc, "hex") == Triangulation.decode(config, enc).masks
+    cells = encs[1].split(";")
+    assert cells[0] == "1,2,3"
+    bad = [
+        ";".join([cells[1], cells[0]] + cells[2:]),  # two cells swapped
+        ";".join(cells[:1] + cells),  # a canonical cell repeated
+        REPEATED_CELL,
+        "2,1,3",
+        "01,2,3",
+        ";".join(["2,1,3"] + cells[1:]),
+        ";".join(["01,2,3"] + cells[1:]),
+    ]
+    for enc in bad + ["1,2,99", ";".join(["1,2"] + cells[1:])]:
+        with pytest.raises(CheckpointCorrupt):
+            enumeration._record_masks(config, enc, "hex")
+    # the memo keeps cells of the hexagon only
+    assert all(m.bit_count() == 3 and not m >> 7 for m in engine(config)._codes)
+    # not even a check of the cells themselves may stand in for it
+    monkeypatch.setattr(Triangulation, "validate", lambda self: True)
+    for enc in bad:
+        with pytest.raises(CheckpointCorrupt):
+            enumeration._record_masks(config, enc, "hex")
+
+
 @pytest.mark.parametrize(
     "line",
     [b'{"t": "commit", "level": "x", "count": 1}', b'{"t": "done"}', b"[1, 2]", b"\xff\xfe"],

@@ -1,20 +1,25 @@
 """Guards on the package source itself, read with ast."""
 
 import ast
+import gc
 import importlib
 import inspect
 import importlib.util
 import json
 import subprocess
 import sys
+import weakref
+from math import comb
 from pathlib import Path
 
 import regtriang
-from regtriang import polytopes
+from regtriang import polytopes, triangulation
 from regtriang.enumeration import enumerate_regular
-from regtriang.fixtures import fixture
+from regtriang.fixtures import fixture, fixture_names
 from regtriang.geometry import PointConfiguration
-from regtriang.triangulation import engine
+from regtriang.prism import nu_vector, prism_configuration
+from regtriang.triangulation import Triangulation, engine, placing_triangulation
+from regtriang.weights import eta_k, hurwitz_vector, massive_gkz
 
 SRC = Path(regtriang.__file__).parent
 
@@ -94,6 +99,77 @@ def test_geometry_imports_no_rational_solve():
         and any(a.name.split(".")[-1] == "solve_rational" for a in node.names)
     ]
     assert found == []
+
+
+# module-level containers the package may fill, each bounded: the worker
+# process's one engine, the built-in fixtures (one configuration per name),
+# and a weak index of live engines that keeps none of them alive
+_MODULE_STATE = {"enumeration._WORKER", "fixtures._CACHE", "triangulation._ENGINES"}
+
+_CONTAINERS = {
+    "dict", "set", "list", "defaultdict", "OrderedDict", "Counter",
+    "WeakValueDictionary", "WeakKeyDictionary",
+}
+
+
+def _starts_empty(value):
+    """Whether a module-level value is an empty container, made to be filled."""
+    if isinstance(value, ast.Dict):
+        return not value.keys
+    if isinstance(value, (ast.Set, ast.List)):
+        return not value.elts
+    return (
+        isinstance(value, ast.Call)
+        and not value.args
+        and ast.unparse(value.func).split(".")[-1] in _CONTAINERS
+    )
+
+
+def test_every_memo_lives_on_an_engine():
+    # a memo at module level would outlive the configurations it describes
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = _tree(path.name)
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and _starts_empty(node.value):
+                found.update(f"{path.stem}.{ast.unparse(t)}" for t in node.targets)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                names = {a.name for a in node.names} & {"cache", "lru_cache"}
+                found.update(f"{path.stem}:{node.lineno}: {name}" for name in names)
+            elif isinstance(node, ast.Attribute) and node.attr in {"cache", "lru_cache"}:
+                found.add(f"{path.stem}:{node.lineno}: {node.attr}")
+    assert found == _MODULE_STATE
+
+
+def test_engines_go_with_their_configurations():
+    # memory stays bounded: each memo holds at most the configuration's
+    # possible cells, and folding weights over many configurations leaves
+    # none of their engines, and so none of their memos, behind
+    def fold(points):
+        config = PointConfiguration(points)
+        prism = prism_configuration(config)
+        for cfg in (config, prism):
+            t = placing_triangulation(cfg)
+            eta_k(t, 0), massive_gkz(t), hurwitz_vector(t)
+            assert Triangulation.decode(cfg, t.encode()) == t
+        for order in (None, list(reversed(prism.labels()))):
+            nu_vector(placing_triangulation(prism, order))
+        eng = engine(prism)
+        cells = comb(len(prism.points), prism.dim + 1)
+        assert eng.weight_shares and len(eng._codes) <= cells
+        assert all(len(shares) <= cells for _, shares in eng.weight_shares.values())
+        return [weakref.ref(engine(config)), weakref.ref(eng)]
+
+    gc.collect()
+    before = set(triangulation._ENGINES.values())
+    refs = []
+    for name in fixture_names():
+        for shift in range(4):
+            refs += fold([(x + shift, y - shift) for x, y in fixture(name).points])
+    gc.collect()
+    assert [r() for r in refs] == [None] * len(refs)
+    assert set(triangulation._ENGINES.values()) <= before
 
 
 def test_a_max_of_forms_at_its_order_lifts_nothing(monkeypatch):

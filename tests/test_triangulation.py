@@ -82,6 +82,51 @@ def test_encode_decode_canonical():
     assert Triangulation.decode(SQUARE, "1,2,3;1,3,4") == t
 
 
+def _parsed_masks(text):
+    """Cell masks of an encoding read label by label, in sorted order."""
+    return tuple(sorted(sum(1 << (int(l) - 1) for l in part.split(",")) for part in text.split(";")))
+
+
+def test_decode_reads_any_spelling_with_the_memo_warm():
+    config = PointConfiguration(fixture("4b").points)
+    warm = Triangulation(config, [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 2, 5)])
+    assert warm.encode() == "1,2,3;1,2,5;1,3,4;1,4,5"  # every cell's text is held now
+    for text in ("3,1,2;4,1,3;5,4,1;2,5,1", "1,2,3;1,5,2;01,3,4;1,4,5", "1,4,5;1,2,3;1,3,4;1,2,5"):
+        t = Triangulation.decode(config, text)
+        assert t.masks == _parsed_masks(text) == warm.masks
+    assert Triangulation.decode(config, "3,1,2;4,1,3").masks == _parsed_masks("1,2,3;1,3,4")
+    with pytest.raises(ValueError):
+        Triangulation.decode(config, "1,2,3;1,3,x")
+    with pytest.raises(DegenerateSimplex):
+        Triangulation.decode(config, "1,2,3;0,1,3")
+
+
+_PLACED = st.sampled_from(["square", "4b", "4c", "hexagon", "5a", "4b-prism", "4c-prism"]).flatmap(
+    lambda name: st.tuples(
+        st.just(name),
+        st.permutations(range(1, len(_NAMED[name]) + 1)),
+    )
+)
+_NAMED = {
+    **{name: fixture(name) for name in ("square", "4b", "4c", "hexagon", "5a")},
+    "4b-prism": prism_configuration(fixture("4b")),
+    "4c-prism": prism_configuration(fixture("4c")),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(_PLACED)
+def test_decode_undoes_encode(placed):
+    name, order = placed
+    config = _NAMED[name]
+    t = placing_triangulation(config, list(order))
+    text = t.encode()
+    assert Triangulation.decode(config, text) == t
+    assert Triangulation.decode(PointConfiguration(config.points), text).masks == t.masks
+    cells = sorted(tuple(i + 1 for i in bit_indices(m)) for m in t.masks)
+    assert text == ";".join(",".join(map(str, c)) for c in cells)
+
+
 def test_square_triangulations_validate_and_are_regular():
     t1 = Triangulation(SQUARE, [(1, 2, 3), (1, 3, 4)])
     t2 = Triangulation(SQUARE, [(1, 2, 4), (2, 3, 4)])

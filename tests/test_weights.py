@@ -5,11 +5,11 @@ import pytest
 
 from oracles import hull_faces
 from test_enumeration import accepted
-from regtriang.fixtures import fixture
+from regtriang.fixtures import fixture, fixture_names
 from regtriang.geometry import PointConfiguration
 from regtriang.linalg import normalized_simplex_volume
 from regtriang.prism import nu_vector, prism_configuration
-from regtriang.triangulation import Triangulation, _mask, placing_triangulation
+from regtriang.triangulation import Triangulation, _mask, engine, placing_triangulation
 from regtriang.weights import eta_k, hurwitz_vector, massive_gkz
 
 SQUARE = PointConfiguration([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -155,18 +155,31 @@ def reference_vectors(triangulation):
     return etas, massive, hurwitz, nu
 
 
+def _weight_vectors(t):
+    """(eta_0..eta_n, massive, hurwitz, nu) as the package folds them, each
+    weight map in turn; nu is None off a prism."""
+    n = t.config.dim
+    etas = [eta_k(t, k).values for k in range(n + 1)]
+    nu = nu_vector(t).values if hasattr(t.config, "base_size") else None
+    return etas, massive_gkz(t).values, hurwitz_vector(t).values, nu
+
+
 def test_weight_vectors_match_the_four_pass_reference():
-    base = fixture("4b")
-    prism = prism_configuration(base)
-    for config in (fixture("square"), fixture("hexagon"), base, prism):
-        n = config.dim
-        for t in all_regular(config):
-            etas, massive, hurwitz, nu = reference_vectors(t)
-            assert [eta_k(t, k).values for k in range(n + 1)] == etas
-            assert massive_gkz(t).values == massive
-            assert hurwitz_vector(t).values == hurwitz
-            if config is prism:
-                assert nu_vector(t).values == nu
+    # fresh configurations, so the first round fills the engine's shares
+    # and the second reads them; every weight map is asked in turn for one
+    # triangulation before the next, so the maps' shares never mix
+    bases = [PointConfiguration(fixture(name).points) for name in fixture_names()]
+    prisms = [prism_configuration(PointConfiguration(fixture(name).points)) for name in ("square", "4b", "4c")]
+    for config in bases + prisms:
+        sample = all_regular(config)
+        expected = [reference_vectors(t) for t in sample]
+        for _ in range(2):
+            for t, want in zip(sample, expected):
+                assert _weight_vectors(t) == want, (config.points, t.encode())
+            sample.reverse()
+            expected.reverse()
+        # eta_0..eta_n, massive (which nu folds) and hurwitz: one map each
+        assert len(engine(config).weight_shares) == config.dim + 3
 
 
 def test_weight_vectors_need_no_label_cells(monkeypatch):
