@@ -13,11 +13,15 @@ circuits of its fold rows (shared Circuit objects, each once), which its
 expansion reads instead of building the list again, and its primitive
 integer heights. A candidate keeps, in frontier order, references to the
 heights of every parent that reached it and to the circuit each one
-flipped: the hints `regular_quick` tries before its LP. The parent
-process decides every candidate that has a hint. A checkpoint holds no
-heights, so the first level after a resume has none; only such
-candidates go to the worker pool, which is started the first time a
-level has enough of them, and workers return their verdict alone.
+flipped: the hints `regular_quick` tries first. When they fail, a
+refutation the engine cached from an earlier LP rejection, or the first
+hint's heights repaired in integers, usually decides, and the LP runs
+only when neither does; every rejection carries a checked dual
+certificate, from the LP or from the cache. The parent process decides
+every candidate that has a hint. A checkpoint holds no heights, so the
+first level after a resume has none; only such candidates go to the
+worker pool, which is started the first time a level has enough of
+them, and workers return their verdict alone.
 
 One set holds every triangulation the walk has reached, added when it is
 first queued, as a 96-bit blake2b digest of its mask tuple, on the

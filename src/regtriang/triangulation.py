@@ -23,9 +23,14 @@ A flip crosses one wall of the secondary fan (GKZ; De Loera-Rambau-Santos,
 triangulation it came from, moved by the flipped circuit's own
 dependence, usually certify the new one. `regular_quick` takes such
 hints, (heights, circuit), one from each accepted triangulation that
-reaches the candidate by a flip, and tries them in order before any LP;
-heights a hint certifies are checked on every fold row in integers, and
-`strict_feasible` runs only when every hint fails.
+reaches the candidate by a flip, and tries them in order. When every
+hint fails, a cached refutation may reject the candidate: the fold rows
+on which an earlier LP rejection's dual certificate is nonzero, all
+present again. Else the first hint's heights are repaired in integers by
+the relaxation method, and `strict_feasible` runs only when that fails
+too. Heights are checked on every fold row in integers, and every
+rejection carries a checked dual certificate, from the LP or from the
+cache.
 """
 
 import weakref
@@ -223,6 +228,10 @@ class Engine:
         # (labels, text) of each cell mask met, and the mask of each text
         self._codes = {}
         self._text_masks = {}
+        # {key set: {key: u numerator}} of each LP rejection, one per key
+        # set: the fold rows its dual certificate u weighs, a key being
+        # (circuit support, sign at the apex); see regular_quick
+        self.refutations = {}
 
     def points_of(self, mask):
         return [self.pts[i] for i in bit_indices(mask)]
@@ -384,31 +393,70 @@ class Engine:
         `circuits` is `self.circuits(masks)`, if the caller has it. Each
         of `hints` is (heights, circuit): heights returned for a
         triangulation that `masks` is one flip away from, across that
-        circuit. They are tried in order (see _across_wall) and may be
-        wrong: what one yields counts only once every fold row is checked
-        positive on it in integers. If none does, `strict_feasible`
-        decides on `fold_rows`, and a rejection carries its checked dual
-        certificate. Returns (True, heights), primitive integer heights (0
-        on the frame when the LP found them), or (False, None).
+        circuit. The decision takes the first of four that decides:
+
+        1. each hint in turn, moved across its circuit (see _across_wall);
+        2. a cached refutation: the fold rows of an earlier rejection that
+           are all among these (see `refutations`);
+        3. the first hint's heights, repaired row by row (see _repaired);
+        4. `strict_feasible` on `fold_rows`, whose rejection is cached.
+
+        Hints may be wrong: heights count only once every fold row is
+        checked positive on them in integers, and every rejection carries
+        a checked dual certificate, from the LP or from the cache. Returns
+        (True, heights), primitive integer heights (0 on the frame when
+        the LP found them), or (False, None).
         """
         if circuits is None:
             circuits = self.circuits(masks)
+        # each fold row as its circuit's coefficients and its sign at the apex
+        rows = [(c.coeffs, 1 if c.plus >> (apex - 1) & 1 else -1) for c, apex in circuits]
+        for g, circ in hints:
+            heights = self._across_wall(rows, g, circ)
+            if heights is not None:
+                return True, heights
+        keys = [(c.support, sign) for (c, _), (_, sign) in zip(circuits, rows)]
+        present = set(keys)
+        if any(support <= present for support in self.refutations):
+            return False, None
         if hints:
-            # each fold row as its circuit's coefficients and its sign at the apex
-            rows = [(c.coeffs, 1 if c.plus >> (apex - 1) & 1 else -1) for c, apex in circuits]
-            for g, circ in hints:
-                heights = self._across_wall(rows, g, circ)
-                if heights is not None:
-                    return True, heights
+            heights = self._repaired(rows, hints[0][0])
+            if heights is not None:
+                return True, heights
         heights = [0] * self.m
-        rows = self.fold_rows(masks, circuits)
-        if rows:
-            ok, g, _ = strict_feasible(rows)
+        lp_rows = self.fold_rows(masks, circuits)
+        if lp_rows:
+            ok, g, _ = strict_feasible(lp_rows)
             if not ok:
+                u, _ = scale_to_integers(g)  # the dual certificate's numerators
+                refutation = {key: w for key, w in zip(keys, u) if w}
+                self.refutations.setdefault(frozenset(refutation), refutation)
                 return False, None
             for i, x in zip(self._free_columns, primitive(scale_to_integers(g)[0])):
                 heights[i] = x
         return True, tuple(heights)
+
+    def _repaired(self, rows, g):
+        """Heights on which every fold row is positive, or None.
+
+        The relaxation method (Agmon; Motzkin-Schoenberg) in integers:
+        from the heights g, up to _REPAIR_STEPS times, the most violated
+        row r, of value v <= 0 and read as heights, is added
+        floor(-v / |r|^2) + 1 times, which makes that row positive. What
+        it returns is checked on every row and made primitive. `rows` is
+        as for _across_wall.
+        """
+        g = list(g)
+        steps = 0
+        while (worst := _most_violated(rows, g)) is not None:
+            if steps == _REPAIR_STEPS:
+                return None
+            v, coeffs, sign = worst
+            k = -v // sum(c * c for _, c in coeffs) + 1
+            for l, c in coeffs:
+                g[l - 1] += k * sign * c
+            steps += 1
+        return primitive(g)
 
     def _across_wall(self, rows, g, circ):
         """Heights g' = q g - p Z on which every fold row is positive, or None.
@@ -443,13 +491,25 @@ class Engine:
             return None
         p, q = _simplest_between(lo, hi)
         moved = primitive([q * x - p * y for x, y in zip(g, direction)])
-        for coeffs, sign in rows:
-            value = 0
-            for l, c in coeffs:
-                value += c * moved[l - 1]
-            if sign * value <= 0:
-                return None
-        return moved
+        return moved if _most_violated(rows, moved) is None else None
+
+
+# the relaxation steps _repaired takes before it gives up
+_REPAIR_STEPS = 20
+
+
+def _most_violated(rows, g):
+    """(value, coefficients, sign) of the fold row of least value on the
+    heights g if that value is not positive, else None."""
+    worst = None
+    for coeffs, sign in rows:
+        value = 0
+        for l, c in coeffs:
+            value += c * g[l - 1]
+        value *= sign
+        if value <= 0 and (worst is None or value < worst[0]):
+            worst = value, coeffs, sign
+    return worst
 
 
 def _simplest_between(lo, hi):

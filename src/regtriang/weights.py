@@ -76,13 +76,13 @@ def _face_walk(triangulation, weights):
         ]
         memo = eng.weight_shares[key] = (tuple(_add([0] * eng.m, eng, weights, fixed)), {})
     base, shares = memo
+    missing = [c for c in triangulation.masks if c not in shares]
+    if missing:
+        shares.update(_shares(cfg, eng, weights, missing))
     vals = list(base)
     lower = set()
     for c in triangulation.masks:
-        share = shares.get(c)
-        if share is None:
-            share = shares[c] = _share(cfg, eng, weights, c)
-        sums, low = share
+        sums, low = shares[c]
         it = iter(sums)
         for i, x in zip(it, it):
             vals[i] += x
@@ -103,25 +103,31 @@ def _add(vals, eng, weights, simplices):
     return vals
 
 
-def _share(cfg, eng, weights, c):
-    """The cell's share: (the sums of the terms of c and of its walls on
-    hull facets, flat as (index, value, index, value, ...) with zeros
-    left out; its massive simplices of dimension d-2 or less on faces
-    with more points than vertices)."""
+def _shares(cfg, eng, weights, cells):
+    """{cell: share} for the cells, from one scan of the hull's faces. A
+    share is (the sums of the terms of the cell and of its walls on hull
+    facets, flat as (index, value, index, value, ...) with zeros left out;
+    its massive simplices of dimension d-2 or less on faces with more
+    points than vertices)."""
     n = cfg.dim
-    own = [c] if n in weights else []
-    if n - 1 in weights:
-        own += [sm for f in cfg.face_point_masks(n - 1) if (sm := c & f).bit_count() == n]
-    # a face whose only points are its vertices is fixed, in the walk's base
-    low = tuple(
-        sm
-        for k in weights
-        if k < n - 1
-        for f in cfg.face_point_masks(k)
-        if (sm := c & f).bit_count() == k + 1 and sm != f
-    )
-    vals = _add(defaultdict(int), eng, weights, own)
-    return tuple(y for i, x in vals.items() if x for y in (i, x)), low
+    own = {c: [c] if n in weights else [] for c in cells}
+    low = {c: [] for c in cells}
+    for k in weights:
+        if k == n:
+            continue
+        cut = own if k == n - 1 else low
+        for f in cfg.face_point_masks(k):
+            # a lower face whose only points are its vertices is fixed, in the walk's base
+            if k < n - 1 and f.bit_count() == k + 1:
+                continue
+            for c in cells:
+                if (sm := c & f).bit_count() == k + 1:
+                    cut[c].append(sm)
+    out = {}
+    for c in cells:
+        sums = _add(defaultdict(int), eng, weights, own[c])
+        out[c] = tuple(y for i, x in sums.items() if x for y in (i, x)), tuple(low[c])
+    return out
 
 
 def eta_k(triangulation, k):

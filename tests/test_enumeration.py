@@ -570,12 +570,20 @@ def counted_lp(monkeypatch):
 
 
 def test_the_stream_is_the_same_when_no_hint_certifies(monkeypatch):
-    # hints only spare LPs: with the certifier failing every time, every
-    # decision goes to strict_feasible, and the encodings do not change
+    # hints, repairs and cached refutations only spare LPs: with the
+    # certifier and the repair failing every time and the cache always
+    # empty, every decision goes to strict_feasible, and the encodings do
+    # not change
     config = prism_configuration(fixture("4b"))
     hinted = accepted(config)
     calls = counted_lp(monkeypatch)
     monkeypatch.setattr(triangulation.Engine, "_across_wall", lambda self, *hint: None)
+    monkeypatch.setattr(triangulation.Engine, "_repaired", lambda self, *args: None)
+    # a property shadows each engine's own dict: nothing is kept, nothing found
+    monkeypatch.setattr(
+        triangulation.Engine, "refutations", property(lambda self: {}, lambda self, value: None),
+        raising=False,
+    )
     assert accepted(config) == hinted
     assert len(calls) == 1326  # the seed and 1,325 flip candidates
     assert accepted(config, jobs=2) == hinted
@@ -599,12 +607,15 @@ def test_the_order_of_flips_picks_no_hint(monkeypatch):
 
 
 def test_most_decisions_on_the_4b_prism_need_no_lp(monkeypatch):
-    # the seed and 1,325 flip candidates are decided, 1,270 accepted; the
-    # 56 rejections are the LP's, and the parents' heights certify most
-    # of the rest
+    # the seed and 1,325 flip candidates are decided, 1,270 accepted; of
+    # the 56 rejections the LP makes one per distinct refutation and the
+    # cache the rest, and the parents' heights, moved or repaired, certify
+    # the accepted candidates but three
     calls = counted_lp(monkeypatch)
-    assert enumerate_regular(prism_configuration(fixture("4b"))) == 1270
-    assert 56 <= len(calls) < 1325 // 2
+    config = prism_configuration(fixture("4b"))
+    assert enumerate_regular(config) == 1270
+    assert len(calls) == 14
+    assert len(engine(config).refutations) == 10
 
 
 def test_a_fresh_pooled_run_starts_no_pool(monkeypatch):
@@ -647,15 +658,23 @@ def test_a_resumed_pooled_run_starts_one_pool(tmp_path, monkeypatch):
 
 def test_every_parents_hint_spares_lps(monkeypatch):
     # a candidate is offered the heights of every parent that reaches it;
-    # with its first parent's alone, twice as many LPs run on the 4b prism.
-    # The 56 rejections are the LP's.
+    # with its first parent's alone, the repair runs about twice as often on
+    # the 4b prism. It certifies what the hints miss, so the LPs are the same.
     calls = counted_lp(monkeypatch)
+    repairs = []
+    repaired = Engine._repaired
+
+    def counted(self, rows, g):
+        repairs.append(len(rows))
+        return repaired(self, rows, g)
+
+    monkeypatch.setattr(Engine, "_repaired", counted)
     stream = accepted(prism_configuration(fixture("4b")))
-    assert len(calls) == 178
+    assert (len(calls), len(repairs)) == (14, 203)
     quick = Engine.regular_quick
     monkeypatch.setattr(
         Engine, "regular_quick",
         lambda self, masks, circuits=None, hints=(): quick(self, masks, circuits, hints[:1]),
     )
     assert accepted(prism_configuration(fixture("4b"))) == stream
-    assert len(calls) == 178 + 372
+    assert (len(calls), len(repairs)) == (14 + 14, 203 + 409)

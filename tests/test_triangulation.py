@@ -45,7 +45,7 @@ from oracles import (
     placing_cells,
     present_side,
 )
-from test_enumeration import accepted, counted_lp
+from test_enumeration import _planar, accepted, counted_lp
 
 SQUARE = PointConfiguration([(0, 0), (1, 0), (1, 1), (0, 1)])
 
@@ -67,6 +67,27 @@ def full_column_engine(config):
     eng = Engine(config)
     eng.frame = ()
     return eng
+
+
+def check_cached_refutation(eng, config, masks):
+    """Check again each refutation in the engine's cache that rejects the
+    triangulation: weights u > 0 on its support, fold rows the
+    triangulation has, and u.rows = 0 on every column of those rows.
+    is_regular rejects the triangulation too."""
+    full = full_column_engine(config)
+    circuits = full.circuits(masks)
+    rows = {
+        (c.support, 1 if c.plus >> (apex - 1) & 1 else -1): row
+        for (c, apex), row in zip(circuits, full.fold_rows(masks, circuits))
+    }
+    found = {support: u for support, u in eng.refutations.items() if support <= rows.keys()}
+    assert found
+    for support, u in found.items():
+        assert set(u) == support and all(w > 0 for w in u.values())
+        for column in zip(*(rows[key] for key in u)):
+            assert sum(w * x for w, x in zip(u.values(), column)) == 0
+    assert is_regular(Triangulation.from_masks(config, masks)) is None
+
 
 # both twists of the nested-triangle annulus; the mirror symmetry
 # x <-> y maps one to the other
@@ -493,7 +514,7 @@ def test_hinted_decisions_on_prisms_agree_with_is_regular(name, monkeypatch):
     with pytest.raises(BudgetExceeded):
         enumerate_regular(config, budget=40, on_accept=found.append)
     lp_calls = counted_lp(monkeypatch)
-    accepted = certified = 0
+    accepted = certified = cached = 0
     for enc in found[:: len(found) // 6][:6]:
         t = Triangulation.decode(config, enc)
         ok, heights = eng.regular_quick(t.masks)
@@ -504,19 +525,22 @@ def test_hinted_decisions_on_prisms_agree_with_is_regular(name, monkeypatch):
             ok, hinted = eng.regular_quick(nb.masks, hints=[(heights, circ)])
             by_hint = len(lp_calls) == before
             assert ok == bool(is_regular(nb))
-            assert ok or not by_hint  # every rejection is the LP's
+            # every rejection is the LP's, or a cached certificate's
+            if not ok and by_hint:
+                cached += 1
+                check_cached_refutation(eng, config, nb.masks)
             if ok:
                 accepted += 1
                 certified += by_hint
-                if by_hint:  # every fold row is positive on the moved heights
+                if by_hint:  # every fold row is positive on the moved or repaired heights
                     for row in full.fold_rows(nb.masks):
                         assert sum(r * h for r, h in zip(row, hinted)) > 0
                 else:  # the LP's heights are 0 on the frame
                     assert all(hinted[l - 1] == 0 for l in eng.frame)
                 rebuilt = lower_hull_subdivision(config.points, hinted)
                 assert sorted(rebuilt) == sorted(nb.masks)
-    # most accepted neighbours need no LP
-    assert 2 * certified > accepted > 0
+    # most accepted neighbours need no LP, and some rejections none either
+    assert 2 * certified > accepted > 0 and cached > 0
 
 
 @pytest.mark.parametrize("name, count", [("4b", 1270), ("5a", 26540)])
@@ -576,20 +600,73 @@ def _regular_heights(config):
 def test_a_lying_hint_never_makes_a_pinwheel_regular(monkeypatch):
     # the heights of every regular triangulation, each across every circuit
     # the engine knows, plus random heights: the pinwheels have no strictly
-    # convex heights, so no hint passes the row check, and the LP rejects
-    eng = engine(NESTED)
+    # convex heights, so no hint and no repair passes the row check. The
+    # LP rejects each pinwheel once, and its cached certificate every time
+    # after
+    eng = Engine(NESTED)
     rng = random.Random(11)
     lies = _regular_heights(NESTED)
     lies += [tuple(0 if l in eng.frame else rng.randint(-9, 9) for l in NESTED.labels())
              for _ in range(20)]
-    circuits = list(eng._circuits.values())
+    circuits = list(engine(NESTED)._circuits.values())
     lp_calls = counted_lp(monkeypatch)
-    for cells in PINWHEELS:
-        masks = Triangulation(NESTED, cells).masks
+    pinwheels = [Triangulation(NESTED, cells).masks for cells in PINWHEELS]
+    for k, masks in enumerate(pinwheels):
         for heights in lies:
             for circ in circuits:
                 assert eng.regular_quick(masks, hints=[(heights, circ)]) == (False, None)
-    assert len(lp_calls) == 2 * len(lies) * len(circuits)
+                assert len(lp_calls) == k + 1
+    assert len(eng.refutations) == 2
+    for masks in pinwheels:
+        check_cached_refutation(eng, NESTED, masks)
+
+
+def _check_repairs_and_refutations(config):
+    """Walk the configuration's flip graph and check each decision the
+    repair or the cache made: repaired heights rebuild the candidate
+    through lower_hull_subdivision, and a rejection without an LP is a
+    cached refutation that is checked again and confirmed by is_regular.
+    Returns the number of repairs and of cache rejections."""
+    eng = engine(config)
+    seen = {"lp": 0, "repaired": None}
+    checked = {"repairs": 0, "cached": 0}
+    quick, repaired, solve = Engine.regular_quick, Engine._repaired, triangulation.strict_feasible
+
+    def counting(rows):
+        seen["lp"] += 1
+        return solve(rows)
+
+    def kept(self, rows, g):
+        seen["repaired"] = repaired(self, rows, g)
+        return seen["repaired"]
+
+    def checked_quick(self, masks, circuits=None, hints=()):
+        seen["lp"], seen["repaired"] = 0, None
+        ok, heights = quick(self, masks, circuits, hints)
+        if ok and heights is seen["repaired"]:
+            checked["repairs"] += 1
+            assert sorted(lower_hull_subdivision(config.points, heights)) == sorted(masks)
+        elif not ok and not seen["lp"]:
+            checked["cached"] += 1
+            check_cached_refutation(eng, config, masks)
+        return ok, heights
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(triangulation, "strict_feasible", counting)
+        mp.setattr(Engine, "_repaired", kept)
+        mp.setattr(Engine, "regular_quick", checked_quick)
+        enumerate_regular(config)
+    return checked["repairs"], checked["cached"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_planar())
+def test_repaired_heights_rebuild_and_cached_refutations_hold(config):
+    _check_repairs_and_refutations(config)
+
+
+def test_repairs_and_refutations_on_the_4b_prism_walk():
+    assert _check_repairs_and_refutations(prism_configuration(fixture("4b"))) == (190, 46)
 
 
 def test_a_wrong_hint_leaves_a_regular_triangulation_regular():
