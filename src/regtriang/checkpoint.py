@@ -1,15 +1,18 @@
 """Append-only JSONL checkpoints for long enumeration runs.
 
-Layout (version 2): a header line, then one "v" record per accepted
-triangulation in acceptance order, a {"t": "commit", "level", "count"}
-record closing each search level, and a final "done" record. The frontier
-a commit opens is the v records since the previous commit. A resumed run
-replays the v records up to the last commit and walks the level after it
-again: the v records written after the last commit are read and checked
-like the others, then dropped, and the writer truncates the file at the
-last commit and writes that level anew.
-Version 1 commits also repeat their frontier; the reader ignores that
-copy and otherwise reads both versions alike.
+Layout (version 3): a header line, then one {"t": "v", "enc", "h"} record
+per accepted triangulation in acceptance order, a {"t": "commit", "level",
+"count"} record closing each search level, and a final "done" record.
+"enc" is the triangulation's canonical encoding and "h" the primitive
+integer heights, one per point, that certified it when the walk accepted
+it. The frontier a commit opens is the v records since the previous
+commit. A resumed run replays the v records up to the last commit and
+walks the level after it again: the v records written after the last
+commit are read and checked like the others, then dropped, and the writer
+truncates the file at the last commit and writes that level anew.
+Version 2 records hold no heights, and version 1 commits also repeat their
+frontier; the reader ignores that copy and any "h" of either, and a
+writer appending to such a file writes none.
 A trailing partial line from a killed writer (one without its newline)
 is tolerated, and so is a file cut inside its header line, which holds
 nothing yet; corruption anywhere else is an error.
@@ -22,13 +25,17 @@ from itertools import chain
 from .errors import CheckpointCorrupt
 
 MAGIC = "regtriang-checkpoint"
-VERSION = 2
+VERSION = 3
 # every header begins so, its keys being sorted
 _HEADER_START = b'{"config": '
 
 
 class CheckpointWriter:
-    def __init__(self, path, config_digest=None, params=None, append=False, valid_bytes=None):
+    def __init__(
+        self, path, config_digest=None, params=None, append=False, valid_bytes=None,
+        version=VERSION,
+    ):
+        self.version = version  # of the file appended to
         if append:  # after the last commit read_checkpoint found
             os.truncate(path, valid_bytes)
             self.fh = open(path, "a")
@@ -43,8 +50,11 @@ class CheckpointWriter:
             self.fh.write(json.dumps(header, sort_keys=True) + "\n")
             self.fh.flush()
 
-    def record(self, enc):
-        self.fh.write(json.dumps({"t": "v", "enc": enc}) + "\n")
+    def record(self, enc, heights):
+        rec = {"t": "v", "enc": enc}
+        if self.version >= 3:
+            rec["h"] = heights
+        self.fh.write(json.dumps(rec) + "\n")
 
     def commit(self, level, count):
         self.fh.write(json.dumps({"t": "commit", "level": level, "count": count}) + "\n")
@@ -62,7 +72,9 @@ class CheckpointWriter:
 class CheckpointState:
     def __init__(self):
         self.config_digest = None
+        self.version = VERSION
         self.accepted = []  # all v encodings in file order
+        self.heights = []  # the "h" of each, as read (None if absent or before version 3)
         # the last commit's frontier is accepted[opened:closed], and the
         # records after it are accepted[closed:]; closed is None if none committed
         self.opened = 0
@@ -82,8 +94,8 @@ def _count(path, rec, key):
 def read_checkpoint(path):
     """The state a checkpoint file holds, read one line at a time.
 
-    The encodings are returned as written; checking them against the
-    configuration is left to the caller.
+    The encodings and heights are returned as written; checking them
+    against the configuration is left to the caller.
     """
     state = CheckpointState()
     offset = 0
@@ -104,8 +116,9 @@ def read_checkpoint(path):
             if number == 1:
                 if not isinstance(rec, dict) or rec.get("magic") != MAGIC:
                     raise CheckpointCorrupt(f"{path}: missing header")
-                if rec.get("version") not in (1, VERSION):
+                if rec.get("version") not in (1, 2, VERSION):
                     raise CheckpointCorrupt(f"{path}: unsupported version {rec.get('version')}")
+                state.version = rec["version"]
                 state.config_digest = rec.get("config")
                 state.valid_bytes = offset
                 continue
@@ -114,6 +127,7 @@ def read_checkpoint(path):
             kind = rec.get("t") if isinstance(rec, dict) else None
             if kind == "v":
                 state.accepted.append(rec.get("enc"))
+                state.heights.append(rec.get("h") if state.version >= 3 else None)
             elif kind == "commit":
                 state.level = _count(path, rec, "level")
                 count = _count(path, rec, "count")

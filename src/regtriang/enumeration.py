@@ -18,19 +18,22 @@ refutation the engine cached from an earlier LP rejection, or the first
 hint's heights repaired in integers, usually decides, and the LP runs
 only when neither does; every rejection carries a checked dual
 certificate, from the LP or from the cache. The parent process decides
-every candidate that has a hint. A checkpoint holds no heights, so the
-first level after a resume has none; only such candidates go to the
-worker pool, which is started the first time a level has enough of
-them, and workers return their verdict alone.
+every candidate that has a hint. A version 3 checkpoint holds each
+record's heights, which a resume checks on the record's fold rows, so
+the level after it is hinted like any other. Only a resumed version 1 or
+2 file, which holds no heights, leaves a level without hints; only such
+candidates go to the worker pool, which is started the first time a
+level has enough of them, and workers return their verdict alone.
 
 One set holds every triangulation the walk has reached, added when it is
-first queued, as a 96-bit blake2b digest of its mask tuple, on the
-assumption that no two share one (odds about n^2 / 2^97 for n
-triangulations, below 10^-17 for a million).
+first queued, as its order-free 96-bit digest (Engine.digest: the sum of
+its cells' blake2b keys), on the assumption that no two share one (odds
+about n^2 / 2^97 for n triangulations, below 10^-17 for a million). A
+neighbour's digest comes from its parent's and the keys of the cells the
+flip changes, so a flip builds the mask tuple of a new candidate only.
 """
 
 import multiprocessing
-from hashlib import blake2b
 from os import path as os_path
 
 from .checkpoint import CheckpointWriter, read_checkpoint
@@ -46,8 +49,10 @@ from .errors import (
 from .geometry import PointConfiguration
 from .triangulation import (
     Triangulation,
+    certifies,
     engine,
     flip,
+    flip_digest,
     placing_triangulation,
     supported_flips,
 )
@@ -55,15 +60,12 @@ from .triangulation import (
 DEFAULT_BUDGET = 2_000_000
 
 
-def _digest(masks):
-    return blake2b(repr(masks).encode(), digest_size=12).digest()
-
-
-def _neighbor_encodings(config, masks, circuits=None):
-    """(mask tuple, flipped circuit) of each flip neighbor, one per
-    supported flip; `circuits` as for supported_flips."""
-    t = Triangulation.from_masks(config, masks)
-    return [(flip(t, circ).masks, circ) for circ in supported_flips(t, circuits)]
+def _neighbor_encodings(t, circuits=None):
+    """(digest, flipped circuit) of each flip neighbor of the triangulation,
+    one per supported flip, the digest moved from t's (see flip_digest);
+    `circuits` as for supported_flips."""
+    digest = engine(t.config).digest(t.masks)
+    return [(flip_digest(t, circ, digest), circ) for circ in supported_flips(t, circuits)]
 
 
 def _decisions(eng, todo):
@@ -87,15 +89,21 @@ def _decide(masks):
     return _WORKER["engine"].regular_quick(masks)[0]
 
 
-def _record_masks(config, enc, path):
-    """Cell masks of a checkpointed encoding, which must be the canonical
-    encoding of a triangulation (Triangulation.validate, which solves no
-    LP). Canonical is checked while parsing: each cell's text is the one
-    its mask spells (labels ascending, each as str(int)), and cells
-    ascend. Its regularity is trusted, not certified again."""
+def _record(config, enc, heights, path, trusted=False):
+    """(masks, circuits) of a checkpointed record, its Engine.circuits pairs.
+
+    The encoding must be the canonical encoding of a triangulation
+    (Triangulation.validate, which solves no LP). Canonical is checked
+    while parsing: each cell's text is the one its mask spells (labels
+    ascending, each as str(int)), and cells ascend. Unless the record is
+    `trusted` (one of a version 1 or 2 file, which holds no heights), its
+    `heights` must be a list of one int per point on which every fold row
+    is positive (certifies), read from the circuits validate built.
+    """
+    eng = engine(config)
+    t = None
     try:
         if isinstance(enc, str):
-            eng = engine(config)
             parts = enc.split(";")
             masks = [eng.cell_mask(part) for part in parts]
             codes = [eng.cell_code(m) for m in masks]
@@ -103,11 +111,19 @@ def _record_masks(config, enc, path):
                 a < b for (a, _), (b, _) in zip(codes, codes[1:])
             ):
                 t = Triangulation.from_masks(config, masks)
-                if t.validate():
-                    return t.masks
+                t.validate()
     except (ValueError, DegenerateSimplex, VolumeMismatch, OverlapNotFace):
-        pass
-    raise CheckpointCorrupt(f"{path}: {enc!r} is not a triangulation encoding")
+        t = None
+    if t is None:
+        raise CheckpointCorrupt(f"{path}: {enc!r} is not a triangulation encoding")
+    if not trusted and not (
+        type(heights) is list
+        and len(heights) == eng.m
+        and all(type(x) is int for x in heights)
+        and certifies(t._circuits, heights)
+    ):
+        raise CheckpointCorrupt(f"{path}: the heights of {enc!r} do not certify it")
+    return t.masks, t._circuits
 
 
 def enumerate_regular(
@@ -135,11 +151,11 @@ def enumerate_regular(
     count = 0
     writer = None
 
-    def accept(enc):
+    def accept(enc, heights):
         nonlocal count
         count += 1
         if writer:
-            writer.record(enc)
+            writer.record(enc, heights)
         if on_accept:
             on_accept(enc)
 
@@ -157,17 +173,20 @@ def enumerate_regular(
     if state is not None:
         frontier = []
         for k, enc in enumerate(state.accepted):
-            masks = _record_masks(config, enc, checkpoint_path)
+            heights = state.heights[k]
+            masks, circuits = _record(config, enc, heights, checkpoint_path, state.version < 3)
             if k < state.closed:  # committed; no writer yet, so nothing is recorded again
-                seen.add(_digest(masks))
-                accept(enc)
+                seen.add(eng.digest(masks))
+                accept(enc, heights)
                 if k >= state.opened:
-                    frontier.append((tuple(map(eng.cell_masks.setdefault, masks, masks)), None, None))
+                    masks = tuple(map(eng.cell_masks.setdefault, masks, masks))
+                    frontier.append((masks, tuple(c for c, _ in circuits), heights))
+            state.heights[k] = None  # checked; the frontier keeps its own
         if state.done:
             return count
         level = state.level
         writer = CheckpointWriter(
-            checkpoint_path, append=True, valid_bytes=state.valid_bytes
+            checkpoint_path, append=True, valid_bytes=state.valid_bytes, version=state.version
         )
     else:
         if checkpoint_path:
@@ -180,8 +199,8 @@ def enumerate_regular(
         ok, circuits, heights = next(_decisions(eng, [(seed.masks, ())]))
         if not ok:
             raise CheckFailed(f"placing triangulation {seed.encode()} not certified regular")
-        seen.add(_digest(seed.masks))
-        accept(seed.encode())
+        seen.add(eng.digest(seed.masks))
+        accept(seed.encode(), heights)
         if writer:
             writer.commit(0, count)
         frontier = [(seed.masks, circuits, heights)]
@@ -192,14 +211,15 @@ def enumerate_regular(
         while frontier:
             fresh = {}  # digest -> (masks, hints) of each candidate first reached now
             for masks, circuits, heights in frontier:
-                for nb, circ in _neighbor_encodings(config, masks, circuits):
-                    d = _digest(nb)
+                t = Triangulation.from_masks(config, masks)
+                for d, circ in _neighbor_encodings(t, circuits):
                     if d in seen:
                         continue
-                    if d not in fresh:
-                        fresh[d] = (nb, [])
+                    candidate = fresh.get(d)
+                    if candidate is None:
+                        candidate = fresh[d] = (flip(t, circ).masks, [])
                     if heights is not None:
-                        fresh[d][1].append((heights, circ))
+                        candidate[1].append((heights, circ))
             seen.update(fresh)
             todo = sorted(fresh.values())  # by mask tuple, no two of which are equal
             # candidates with no parent's heights go to the pool, the rest stay here
@@ -218,7 +238,7 @@ def enumerate_regular(
                 else:
                     ok, circuits, heights = next(pooled), None, None
                 if ok:
-                    accept(Triangulation.from_masks(config, masks).encode())
+                    accept(Triangulation.from_masks(config, masks).encode(), heights)
                     frontier.append((masks, circuits, heights))
             level += 1
             if writer:

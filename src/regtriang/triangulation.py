@@ -3,11 +3,11 @@
 A triangulation is the sorted tuple of its cell bitmasks (bit i-1 =
 label i); the sorted-label view and its string encoding are derived on
 first use. A per-configuration engine caches simplex volumes, affine
-dependences, each cell's labels and text (and the mask of each text)
-and each cell's weight shares (see weights), since enumeration revisits
-the same small sets constantly. The dependences decide containment too:
-a point lies in a full-dimensional cell iff it is alone on its side of
-their circuit.
+dependences, each cell's labels and text (and the mask of each text),
+each cell's weight shares (see weights) and each cell's 96-bit key (see
+Engine.digest), since enumeration revisits the same small sets
+constantly. The dependences decide containment too: a point lies in a
+full-dimensional cell iff it is alone on its side of their circuit.
 
 Fold rows and flips read one circuit list per triangulation,
 `Engine.circuits`: the circuit of the two cells across each interior
@@ -37,6 +37,7 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
+from hashlib import blake2b
 from math import lcm
 from operator import or_
 
@@ -103,6 +104,8 @@ class Triangulation:
     # present sides of the supported flips by circuit support, left by
     # supported_flips for flip
     _sides = None
+    # the Engine.circuits pairs, left by validate
+    _circuits = None
 
     def __init__(self, config, cells):
         self.config = config
@@ -152,7 +155,8 @@ class Triangulation:
         (else OverlapNotFace). This pseudo-manifold property makes the
         cells cover the hull a constant number of times, and the volume
         makes that number one (De Loera-Rambau-Santos, *Triangulations*,
-        ch. 4). No LP is solved.
+        ch. 4). No LP is solved. The Engine.circuits pairs read on the way
+        are left on the triangulation as `_circuits`.
         """
         eng = engine(self.config)
         total = 0
@@ -174,7 +178,7 @@ class Triangulation:
         if inside:
             raise OverlapNotFace(f"wall {_labels(inside[0])} of one cell is inside the hull")
         try:
-            eng.wall_circuits(walls)
+            self._circuits = eng.circuits(self.masks, walls)
         except CheckFailed as exc:
             raise OverlapNotFace(str(exc)) from None
         return True
@@ -232,6 +236,8 @@ class Engine:
         # set: the fold rows its dual certificate u weighs, a key being
         # (circuit support, sign at the apex); see regular_quick
         self.refutations = {}
+        # the 96-bit key of each cell mask met; see digest
+        self._keys = {}
 
     def points_of(self, mask):
         return [self.pts[i] for i in bit_indices(mask)]
@@ -261,6 +267,22 @@ class Engine:
         engine has spelled, else parsed label by label."""
         mask = self._text_masks.get(text)
         return _mask(map(int, text.split(","))) if mask is None else mask
+
+    def cell_key(self, mask):
+        """The cell's 96-bit key, from blake2b of its mask."""
+        key = self._keys.get(mask)
+        if key is None:
+            raw = blake2b(mask.to_bytes((self.m + 7) // 8, "little"), digest_size=12)
+            key = self._keys[mask] = int.from_bytes(raw.digest(), "little")
+        return key
+
+    def digest(self, masks):
+        """The order-free digest of a triangulation: its cells' keys summed
+        mod 2^96. A flip moves it by the keys of the cells it changes (see
+        flip_digest). Two distinct cell sets differ by a nonzero +-1 sum of
+        independent keys, so n triangulations share a digest with odds
+        about n^2 / 2^97."""
+        return sum(map(self.cell_key, masks)) % _DIGESTS
 
     def cell_contains(self, cell_mask, label):
         """Whether the point lies in the full-dimensional cell: it is a
@@ -341,7 +363,7 @@ class Engine:
             out.append((circ, apex.bit_length()))
         return out
 
-    def circuits(self, masks):
+    def circuits(self, masks, walls=None):
         """The cells' circuits, as (circuit, apex label) pairs, each row once.
 
         One per interior wall, in the order the cells meet it (see
@@ -352,9 +374,10 @@ class Engine:
         circuit with its apex on the same side, and so the same fold row:
         all walls of one circuit are one wall of the secondary fan. Raises
         CheckFailed when the cells do not fold like a triangulation (see
-        wall_circuits) or a point is outside every cell.
+        wall_circuits) or a point is outside every cell. `walls` is
+        _walls(masks), if the caller has it.
         """
-        out = self.wall_circuits(_walls(masks))
+        out = self.wall_circuits(_walls(masks) if walls is None else walls)
         for i in bit_indices(self.full_mask & ~reduce(or_, masks, 0)):
             host = next((cm for cm in masks if self.cell_contains(cm, i + 1)), None)
             if host is None:
@@ -409,8 +432,7 @@ class Engine:
         """
         if circuits is None:
             circuits = self.circuits(masks)
-        # each fold row as its circuit's coefficients and its sign at the apex
-        rows = [(c.coeffs, 1 if c.plus >> (apex - 1) & 1 else -1) for c, apex in circuits]
+        rows = _signed_rows(circuits)
         for g, circ in hints:
             heights = self._across_wall(rows, g, circ)
             if heights is not None:
@@ -494,8 +516,23 @@ class Engine:
         return moved if _most_violated(rows, moved) is None else None
 
 
+# digests are taken mod this; see Engine.digest
+_DIGESTS = 1 << 96
+
 # the relaxation steps _repaired takes before it gives up
 _REPAIR_STEPS = 20
+
+
+def _signed_rows(circuits):
+    """Each fold row of the (circuit, apex) pairs as its circuit's
+    coefficients and its sign at the apex."""
+    return [(c.coeffs, 1 if c.plus >> (apex - 1) & 1 else -1) for c, apex in circuits]
+
+
+def certifies(circuits, heights):
+    """Whether every fold row of the (circuit, apex) pairs is positive on
+    the integer heights: the check that ends _across_wall."""
+    return _most_violated(_signed_rows(circuits), heights) is None
 
 
 def _most_violated(rows, g):
@@ -637,8 +674,8 @@ def supported_flips(triangulation, circuits=None):
     `circuits` are the circuits of the triangulation's Engine.circuits
     pairs, if the caller has them; each comes once, since no circuit of a
     triangulation has apexes on both of its sides. The present side
-    found for each is left on the triangulation, so flip does not look
-    for it again.
+    found for each is left on the triangulation, so flip and flip_digest
+    do not look for it again.
     """
     masks = triangulation.masks
     if circuits is None:
@@ -674,6 +711,27 @@ def _present_side(masks, circ):
     return None
 
 
+def _flipped_cells(circuit, side):
+    """(removed, created): the cells tau | lam the flip across the circuit
+    takes out, and those it puts in, for its present side (taus, link,
+    new). No link mask meets the support, so the created cells are
+    distinct."""
+    taus, link, new = side
+    removed = [tau | lam for tau in taus for lam in link]
+    created = [(circuit.support ^ (1 << i)) | lam for i in bit_indices(new) for lam in link]
+    return removed, created
+
+
+def flip_digest(triangulation, circuit, digest):
+    """Engine.digest of the flip neighbour across a circuit that
+    supported_flips returned, from the triangulation's own `digest`: the
+    keys of the cells the flip removes are taken away and those of the
+    cells it creates added. No mask tuple is built."""
+    key = engine(triangulation.config).cell_key
+    removed, created = _flipped_cells(circuit, triangulation._sides[circuit.support])
+    return (digest - sum(map(key, removed)) + sum(map(key, created))) % _DIGESTS
+
+
 def flip(triangulation, circuit):
     """Apply the circuit flip; UnsupportedFlip if it does not apply."""
     eng = engine(triangulation.config)
@@ -681,10 +739,8 @@ def flip(triangulation, circuit):
     side = (triangulation._sides or {}).get(circuit.support) or _present_side(masks, circuit)
     if side is None:
         raise UnsupportedFlip(f"{circuit} is not supported")
-    taus, link, new = side
-    old_cells = {tau | lam for tau in taus for lam in link}
-    result = [c for c in masks if c not in old_cells]
-    # no link mask meets the support, so the new cells are distinct
-    new_cells = [(circuit.support ^ (1 << i)) | lam for i in bit_indices(new) for lam in link]
-    result.extend(eng.cell_masks.setdefault(c, c) for c in new_cells)
+    removed, created = _flipped_cells(circuit, side)
+    removed = set(removed)
+    result = [c for c in masks if c not in removed]
+    result.extend(eng.cell_masks.setdefault(c, c) for c in created)
     return Triangulation.from_masks(triangulation.config, result)

@@ -29,6 +29,9 @@
   lower hull of the lifted points, each lower facet placed in label
   order, the route the library took before it read the domains of
   linearity off the affine pieces.
+- mask_tuple_digest: the 96-bit blake2b digest of the repr of a
+  triangulation's sorted mask tuple, the key of the enumeration's seen
+  set before it summed per-cell keys.
 
 Everything is exact rational arithmetic. Nothing here shares logic with
 the library, except that meet_in_common_face solves its LP with the
@@ -38,6 +41,7 @@ library's `max_eq_lp`, and refine_by_lower_hull lifts with the library's
 
 from fractions import Fraction
 from functools import lru_cache
+from hashlib import blake2b
 from itertools import combinations
 from math import gcd, lcm
 
@@ -524,3 +528,8 @@ def refine_by_lower_hull(config, heights):
         else:
             cells.extend(placing_triangulation(config, cell).cells)
     return Triangulation(config, cells)
+
+
+def mask_tuple_digest(masks):
+    """96-bit blake2b digest of the repr of the sorted mask tuple."""
+    return blake2b(repr(tuple(sorted(masks))).encode(), digest_size=12).digest()

@@ -6,8 +6,15 @@ import pytest
 
 from regtriang.checkpoint import read_checkpoint
 from regtriang.cli import TABLE_ROWS, main
+from regtriang.fixtures import fixture
 
-from test_enumeration import REPEATED_CELL_PLACES, with_repeated_cell
+from test_enumeration import (
+    BAD_HEIGHTS,
+    NO_TRIANGULATION,
+    REPEATED_CELL_PLACES,
+    with_bad_heights,
+    with_repeated_cell,
+)
 
 SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1]]
 
@@ -421,12 +428,14 @@ def test_checkpoint_malformed_record_exits_4(tmp_path, capsys, enc):
     assert code == 0
     lines = ck.read_text().splitlines()
     level_one = [i for i, line in enumerate(lines) if json.loads(line).get("t") == "v"][1]
-    assert json.loads(lines[level_one])["enc"] == LEVEL_ONE
-    lines[level_one] = json.dumps({"t": "v", "enc": enc})
+    rec = json.loads(lines[level_one])
+    assert rec["enc"] == LEVEL_ONE
+    lines[level_one] = json.dumps(dict(rec, enc=enc))  # its heights stay
     ck.write_text("\n".join(lines) + "\n")
     code, report = run_json(command, capsys)
     assert code == 4
     assert report["error"]["type"] == "CheckpointCorrupt"
+    assert NO_TRIANGULATION in report["error"]["message"]
 
 
 def test_checkpoint_record_that_is_no_triangulation_exits_4(tmp_path, capsys):
@@ -438,11 +447,12 @@ def test_checkpoint_record_that_is_no_triangulation_exits_4(tmp_path, capsys):
     assert code == 0
     lines = ck.read_text().splitlines()
     level_one = [i for i, line in enumerate(lines) if json.loads(line).get("t") == "v"][1]
-    lines[level_one] = json.dumps({"t": "v", "enc": "1,2,3"})
+    lines[level_one] = json.dumps(dict(json.loads(lines[level_one]), enc="1,2,3"))
     ck.write_text("\n".join(lines) + "\n")
     code, report = run_json(command, capsys)
     assert code == 4
     assert report["error"]["type"] == "CheckpointCorrupt"
+    assert NO_TRIANGULATION in report["error"]["message"]
 
 
 @pytest.mark.parametrize("where", REPEATED_CELL_PLACES)
@@ -457,6 +467,23 @@ def test_checkpoint_record_that_repeats_a_cell_exits_4(tmp_path, capsys, where):
     code, report = run_json(command, capsys)
     assert code == 4
     assert report["error"]["type"] == "CheckpointCorrupt"
+    assert NO_TRIANGULATION in report["error"]["message"]
+
+
+@pytest.mark.parametrize("case", BAD_HEIGHTS)
+def test_checkpoint_heights_that_do_not_certify_exit_4(tmp_path, capsys, case):
+    # a record's heights are checked on its fold rows before it is counted
+    ck = tmp_path / "ck.jsonl"
+    command = ["triang", "enumerate", "hexagon", "--count-only", "--checkpoint", str(ck)]
+    code, _ = run_json(command, capsys)
+    assert code == 0
+    records = [json.loads(line) for line in ck.read_text().splitlines()]
+    records = with_bad_heights(records, case, fixture("hexagon"))
+    ck.write_text("".join(json.dumps(rec, sort_keys="magic" in rec) + "\n" for rec in records))
+    code, report = run_json(command, capsys)
+    assert code == 4
+    assert report["error"]["type"] == "CheckpointCorrupt"
+    assert "do not certify" in report["error"]["message"]
 
 
 def test_out_writes_file(tmp_path, capsys):

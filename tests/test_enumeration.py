@@ -28,7 +28,7 @@ from regtriang.triangulation import (
     supported_flips,
 )
 
-from oracles import all_triangulations, present_side
+from oracles import all_triangulations, fold_rows, mask_tuple_digest, present_side
 
 SQUARE = PointConfiguration([(0, 0), (1, 0), (1, 1), (0, 1)])
 
@@ -168,6 +168,7 @@ def test_resume_from_a_cut_at_every_byte(tmp_path):
     # each prefix resumes to the uninterrupted run's stream and file
     path = str(tmp_path / "veronese.ckpt")
     fresh = accepted(VERONESE, checkpoint_path=path)
+    assert read_checkpoint(path).version == 3
     with open(path, "rb") as fh:
         data = fh.read()
     for cut in range(len(data) + 1):
@@ -248,12 +249,22 @@ def _write_records(path, records):
             fh.write(json.dumps(rec, sort_keys="magic" in rec) + "\n")
 
 
+def _as_version_2(records):
+    """The records in the version 2 layout, whose v records hold no heights."""
+    return [
+        dict(rec, version=2) if "magic" in rec
+        else {"t": "v", "enc": rec["enc"]} if rec["t"] == "v"
+        else rec
+        for rec in records
+    ]
+
+
 def _as_version_1(records):
-    """The records in the version 1 layout: each commit also lists its
-    frontier, the sorted records since the previous commit."""
+    """The records in the version 1 layout: no heights, and each commit
+    also lists its frontier, the sorted records since the previous commit."""
     out = []
     since = []
-    for rec in records:
+    for rec in _as_version_2(records):
         if "magic" in rec:
             rec = dict(rec, version=1)
         elif rec["t"] == "v":
@@ -271,10 +282,11 @@ def test_commits_hold_no_frontier(tmp_path):
     with pytest.raises(BudgetExceeded):
         enumerate_regular(HEXAGON, budget=10, checkpoint_path=path)
     records = _records(path)
-    assert records[0]["version"] == 2
+    assert records[0]["version"] == 3
     commits = [rec for rec in records if rec.get("t") == "commit"]
     assert len(commits) >= 2
     assert all(set(rec) == {"t", "level", "count"} for rec in commits)
+    assert all(set(rec) == {"t", "enc", "h"} for rec in records if rec.get("t") == "v")
     # the frontier is what the level closed by the last commit accepted
     state = read_checkpoint(path)
     assert state.opened == commits[-2]["count"]
@@ -292,9 +304,9 @@ def test_malformed_record_is_corrupt(tmp_path, enc):
     enumerate_regular(HEXAGON, checkpoint_path=path)
     records = _records(path)
     level_one = [rec for rec in records if rec.get("t") == "v"][1]
-    level_one["enc"] = enc
+    level_one["enc"] = enc  # its heights stay
     _write_records(path, records)
-    with pytest.raises(CheckpointCorrupt):
+    with pytest.raises(CheckpointCorrupt, match=NO_TRIANGULATION):
         enumerate_regular(HEXAGON, checkpoint_path=path, resume=True)
 
 
@@ -315,12 +327,14 @@ def test_record_that_is_no_triangulation_is_corrupt(tmp_path, case):
     level_one = [rec for rec in records if rec.get("t") == "v"][1]
     level_one["enc"] = _not_a_triangulation(records)[case]
     _write_records(path, records)
-    with pytest.raises(CheckpointCorrupt):
+    with pytest.raises(CheckpointCorrupt, match=NO_TRIANGULATION):
         enumerate_regular(HEXAGON, checkpoint_path=path, resume=True)
 
 
 # six copies of the unit cell 1,2,3, whose volumes fill the hexagon
 REPEATED_CELL = ";".join(["1,2,3"] * 6)
+# what a resume says of a record that is no triangulation encoding
+NO_TRIANGULATION = "is not a triangulation encoding"
 REPEATED_CELL_PLACES = ["level-one", "last-level", "frontier", "appended"]
 
 
@@ -328,7 +342,9 @@ def with_repeated_cell(records, where):
     """A finished hexagon checkpoint's records without the done record,
     with REPEATED_CELL in place of the first level-one record, among the
     records of the last level that accepted any, in the frontier of the
-    last commit (which closed an empty level), or after the last commit."""
+    last commit (which closed an empty level), or after the last commit.
+    A replaced record keeps its heights, and an added one has the seed's,
+    so only its encoding is wrong."""
     records = records[:-1]
     commits = [i for i, rec in enumerate(records) if rec.get("t") == "commit"]
     assert records[commits[-2]]["count"] == records[commits[-1]]["count"]
@@ -338,7 +354,8 @@ def with_repeated_cell(records, where):
     at = {"last-level": commits[-2], "frontier": commits[-1], "appended": len(records)}[where]
     for rec in records[at:]:
         rec["count"] += 1
-    return records[:at] + [{"t": "v", "enc": REPEATED_CELL}] + records[at:]
+    added = {"t": "v", "enc": REPEATED_CELL, "h": list(records[1]["h"])}
+    return records[:at] + [added] + records[at:]
 
 
 @pytest.mark.parametrize("where", REPEATED_CELL_PLACES)
@@ -349,7 +366,7 @@ def test_record_that_repeats_a_cell_is_corrupt(tmp_path, where):
     path = str(tmp_path / "hex.ckpt")
     enumerate_regular(HEXAGON, checkpoint_path=path)
     _write_records(path, with_repeated_cell(_records(path), where))
-    with pytest.raises(CheckpointCorrupt):
+    with pytest.raises(CheckpointCorrupt, match=NO_TRIANGULATION):
         enumerate_regular(HEXAGON, checkpoint_path=path, resume=True)
 
 
@@ -359,7 +376,8 @@ def test_a_warm_memo_keeps_the_canonical_check(monkeypatch):
     config = PointConfiguration(HEXAGON.points)
     encs = accepted(config)
     for enc in encs:
-        assert enumeration._record_masks(config, enc, "hex") == Triangulation.decode(config, enc).masks
+        masks, _ = enumeration._record(config, enc, None, "hex", trusted=True)
+        assert masks == Triangulation.decode(config, enc).masks
     cells = encs[1].split(";")
     assert cells[0] == "1,2,3"
     bad = [
@@ -373,14 +391,66 @@ def test_a_warm_memo_keeps_the_canonical_check(monkeypatch):
     ]
     for enc in bad + ["1,2,99", ";".join(["1,2"] + cells[1:])]:
         with pytest.raises(CheckpointCorrupt):
-            enumeration._record_masks(config, enc, "hex")
+            enumeration._record(config, enc, None, "hex", trusted=True)
     # the memo keeps cells of the hexagon only
     assert all(m.bit_count() == 3 and not m >> 7 for m in engine(config)._codes)
     # not even a check of the cells themselves may stand in for it
     monkeypatch.setattr(Triangulation, "validate", lambda self: True)
     for enc in bad:
         with pytest.raises(CheckpointCorrupt):
-            enumeration._record_masks(config, enc, "hex")
+            enumeration._record(config, enc, None, "hex", trusted=True)
+
+
+BAD_HEIGHTS = ["row-at-zero", "other-triangulation", "short", "long", "bool", "float",
+               "string", "missing"]
+
+
+def with_bad_heights(records, case, config):
+    """A finished checkpoint's records with heights that certify nothing in
+    place of the first level-one record's (whose heights hold a 0 and a 1):
+    one entry moved so that one fold row is 0 and none is negative, the
+    next record's heights, one entry fewer or more, a 0 or 1 as a bool,
+    float or string, or none."""
+    rec, other = [rec for rec in records if rec.get("t") == "v"][1:3]
+    h = rec["h"]
+    if case == "row-at-zero":
+        rows = fold_rows(config.points, Triangulation.decode(config, rec["enc"]).masks)
+        moves = []
+        for row in rows:
+            value = sum(r * x for r, x in zip(row, h))
+            for i, r in enumerate(row):
+                if r and value % r == 0:
+                    moved = list(h)
+                    moved[i] -= value // r
+                    moves.append(moved)
+        # the first move that leaves every other row positive
+        h = next(g for g in moves if min(sum(r * x for r, x in zip(row, g)) for row in rows) == 0)
+    elif case == "other-triangulation":
+        h = other["h"]
+    elif case in ("short", "long"):
+        h = h[:-1] if case == "short" else h + [0]
+    elif case == "missing":
+        h = None
+    else:
+        i = next(i for i, x in enumerate(h) if x in (0, 1))
+        h = list(h)
+        h[i] = {"bool": bool, "float": float, "string": str}[case](h[i])
+    if h is None:
+        del rec["h"]
+    else:
+        rec["h"] = h
+    return records
+
+
+@pytest.mark.parametrize("case", BAD_HEIGHTS)
+def test_heights_that_do_not_certify_their_record_are_corrupt(tmp_path, case):
+    # a version 3 record's heights must be one int per point, and every fold
+    # row of its encoding must be positive on them
+    path = str(tmp_path / "hex.ckpt")
+    enumerate_regular(HEXAGON, checkpoint_path=path)
+    _write_records(path, with_bad_heights(_records(path), case, HEXAGON))
+    with pytest.raises(CheckpointCorrupt, match="do not certify"):
+        enumerate_regular(HEXAGON, checkpoint_path=path, resume=True)
 
 
 @pytest.mark.parametrize(
@@ -411,15 +481,15 @@ def test_a_garbled_last_line_is_corrupt(tmp_path):
         read_checkpoint(path)
 
 
-def test_version_1_checkpoint_resumes_from_a_cut_at_every_byte(tmp_path):
-    # the inline frontiers of the older layout are redundant: every prefix
-    # resumes to the uninterrupted run's encodings and acceptance stream
-    path = str(tmp_path / "veronese.ckpt")
-    fresh = accepted(VERONESE, checkpoint_path=path)
-    _write_records(path, _as_version_1(_records(path)))
+def _resumes_from_a_cut_at_every_byte(path, fresh):
+    """Each prefix of the older-layout file at path resumes to the stream
+    `fresh`. One that holds a commit is appended to in its own layout,
+    without heights; any other is written afresh, in version 3."""
     with open(path, "rb") as fh:
         data = fh.read()
-    assert read_checkpoint(path).done
+    state = read_checkpoint(path)
+    assert state.done and state.version < 3
+    first_commit = data.index(b"\n", data.index(b'"commit"')) + 1
     for cut in range(len(data) + 1):
         with open(path, "wb") as fh:
             fh.write(data[:cut])
@@ -431,6 +501,27 @@ def test_version_1_checkpoint_resumes_from_a_cut_at_every_byte(tmp_path):
         assert count == len(streamed), cut
         assert streamed == fresh, cut
         assert read_checkpoint(path).done, cut
+        records = _records(path)
+        version = records[0]["version"]
+        assert version == (3 if cut < first_commit else state.version), cut
+        assert all(("h" in rec) == (version == 3) for rec in records if rec.get("t") == "v"), cut
+
+
+def test_version_1_checkpoint_resumes_from_a_cut_at_every_byte(tmp_path):
+    # the inline frontiers of the older layout are redundant: every prefix
+    # resumes to the uninterrupted run's encodings and acceptance stream
+    path = str(tmp_path / "veronese.ckpt")
+    fresh = accepted(VERONESE, checkpoint_path=path)
+    _write_records(path, _as_version_1(_records(path)))
+    _resumes_from_a_cut_at_every_byte(path, fresh)
+
+
+def test_version_2_checkpoint_resumes_from_a_cut_at_every_byte(tmp_path):
+    # records without heights are trusted, as before version 3
+    path = str(tmp_path / "veronese.ckpt")
+    fresh = accepted(VERONESE, checkpoint_path=path)
+    _write_records(path, _as_version_2(_records(path)))
+    _resumes_from_a_cut_at_every_byte(path, fresh)
 
 
 def test_version_1_inline_frontier_is_not_read(tmp_path):
@@ -618,6 +709,30 @@ def test_most_decisions_on_the_4b_prism_need_no_lp(monkeypatch):
     assert len(engine(config).refutations) == 10
 
 
+@pytest.mark.parametrize("name, count", [("4b", 1270), ("5a", 26540)])
+def test_flip_digests_are_the_keys_of_the_built_neighbours(monkeypatch, name, count):
+    # the digest of each flip neighbour, moved from its parent's by the
+    # cells the flip changes, is the one summed from scratch over the cells
+    # of the neighbour flip builds; and no two triangulations of the walk
+    # share a digest, as none shares the blake2b digest of its mask tuple
+    config = prism_configuration(fixture(name))
+    eng = engine(config)
+    listed = enumeration._neighbor_encodings
+    flips = []
+
+    def checked(t, circuits=None):
+        out = listed(t, circuits)
+        for d, circ in out:
+            assert d == eng.digest(flip(t, circ).masks)
+        flips.append(len(out))
+        return out
+
+    monkeypatch.setattr(enumeration, "_neighbor_encodings", checked)
+    masks = [Triangulation.decode(config, enc).masks for enc in accepted(config)]
+    assert len(flips) == len(masks) == count
+    assert len({eng.digest(m) for m in masks}) == len({mask_tuple_digest(m) for m in masks}) == count
+
+
 def test_a_fresh_pooled_run_starts_no_pool(monkeypatch):
     # every candidate of a fresh walk has a parent's heights, so the parent
     # decides them all, with the LPs of the serial walk
@@ -634,12 +749,13 @@ def test_a_fresh_pooled_run_starts_no_pool(monkeypatch):
 
 
 def test_a_resumed_pooled_run_starts_one_pool(tmp_path, monkeypatch):
-    # a checkpoint holds no heights, so the resumed level goes to the pool;
-    # the stream is the serial resume's
+    # a version 2 checkpoint holds no heights, so the resumed level goes to
+    # the pool; the stream is the serial resume's
     config = prism_configuration(fixture("4b"))
     stopped = str(tmp_path / "stopped.ckpt")
     with pytest.raises(BudgetExceeded):
         enumerate_regular(config, budget=400, checkpoint_path=stopped)
+    _write_records(stopped, _as_version_2(_records(stopped)))
     pools = []
     real = enumeration.multiprocessing.Pool
 
@@ -654,6 +770,31 @@ def test_a_resumed_pooled_run_starts_one_pool(tmp_path, monkeypatch):
         streams[jobs] = accepted(config, jobs=jobs, checkpoint_path=str(path), resume=True)
         assert len(pools) == jobs - 1
     assert streams[1] == streams[2] == accepted(config)
+
+
+def test_a_resumed_pooled_run_starts_no_pool(tmp_path, monkeypatch):
+    # a version 3 checkpoint gives the resumed level its heights back, so
+    # the parent decides every candidate, with the LPs of the serial resume
+    config = prism_configuration(fixture("4b"))
+    stopped = str(tmp_path / "stopped.ckpt")
+    with pytest.raises(BudgetExceeded):
+        enumerate_regular(config, budget=400, checkpoint_path=stopped)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a resumed version 3 walk started a pool")
+
+    monkeypatch.setattr(enumeration.multiprocessing, "Pool", no_pool)
+    calls = counted_lp(monkeypatch)
+    streams, lps = {}, {}
+    for jobs in (1, 2, 8):
+        path = shutil.copy(stopped, tmp_path / f"jobs{jobs}.ckpt")
+        before = len(calls)
+        streams[jobs] = accepted(  # on a fresh engine, whose caches are empty
+            prism_configuration(fixture("4b")), jobs=jobs, checkpoint_path=str(path), resume=True
+        )
+        lps[jobs] = len(calls) - before
+    assert streams[1] == streams[2] == streams[8] == accepted(config)
+    assert lps[1] == lps[2] == lps[8] == 10  # a fresh walk makes 14
 
 
 def test_every_parents_hint_spares_lps(monkeypatch):

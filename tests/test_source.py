@@ -311,10 +311,19 @@ try:
     enumerate_regular(config, budget=400, checkpoint_path=stopped)
 except BudgetExceeded:
     pass
+# the version 2 layout: its records hold no heights
+with open(stopped) as fh:
+    records = [json.loads(line) for line in fh]
+with open(stopped, "w") as fh:
+    for rec in records:
+        if "magic" in rec:
+            rec["version"] = 2
+        rec.pop("h", None)
+        fh.write(json.dumps(rec, sort_keys="magic" in rec) + "\\n")
 
 def run():
-    # a checkpoint holds no heights, so the resumed walk's candidates have no
-    # hint and go to the pool
+    # a version 2 checkpoint holds no heights, so the resumed walk's
+    # candidates have no hint and go to the pool
     path = shutil.copy(stopped, os.path.join(work, "resumed.jsonl"))
     streamed = []
     enumerate_regular(config, jobs=2, checkpoint_path=path, resume=True,
@@ -388,10 +397,11 @@ def test_traced_serial_run_counts_every_decision_in_regular_quick():
     report = json.loads(out.stdout.splitlines()[-1])
     assert report["same"]
     metrics = report["metrics"]
-    # the seed and 1,325 flip candidates
+    # the seed and 1,325 flip candidates, and a flip builds each candidate once
     assert metrics["enumeration.decided"] == 1326
     assert metrics["enumeration.accepted"] == 1270
-    assert metrics["triangulation.flips"] == metrics["enumeration.candidates"] > 0
+    assert metrics["triangulation.flips"] == metrics["enumeration.decided"] - 1 == 1325
+    assert metrics["enumeration.candidates"] > metrics["triangulation.flips"]
     assert 0 < metrics["lp.strict_feasible_calls"] < 1325 / 2
     for layer in ("supported_flips_s", "flip_s", "fold_rows_s"):
         assert metrics[f"triangulation.{layer}"] > 0
