@@ -116,9 +116,11 @@ def read_checkpoint(path):
             if number == 1:
                 if not isinstance(rec, dict) or rec.get("magic") != MAGIC:
                     raise CheckpointCorrupt(f"{path}: missing header")
-                if rec.get("version") not in (1, 2, VERSION):
-                    raise CheckpointCorrupt(f"{path}: unsupported version {rec.get('version')}")
-                state.version = rec["version"]
+                # by type too: true, 1.0 and 3.0 compare equal to a supported one
+                version = rec.get("version")
+                if type(version) is not int or version not in (1, 2, VERSION):
+                    raise CheckpointCorrupt(f"{path}: unsupported version {version!r}")
+                state.version = version
                 state.config_digest = rec.get("config")
                 state.valid_bytes = offset
                 continue

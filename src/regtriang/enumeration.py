@@ -33,7 +33,6 @@ neighbour's digest comes from its parent's and the keys of the cells the
 flip changes, so a flip builds the mask tuple of a new candidate only.
 """
 
-import multiprocessing
 from os import path as os_path
 
 from .checkpoint import CheckpointWriter, read_checkpoint
@@ -227,6 +226,9 @@ def enumerate_regular(
             pooled = None
             if jobs > 1 and len(unhinted) >= jobs * 4:
                 if pool is None:
+                    # imported here, as only a resumed version 1 or 2 walk gets here
+                    import multiprocessing
+
                     pool = multiprocessing.Pool(jobs, _init_worker, (config.points,))
                 chunk = max(1, len(unhinted) // (jobs * 8))
                 pooled = iter(pool.map(_decide, unhinted, chunksize=chunk))

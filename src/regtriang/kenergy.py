@@ -296,7 +296,7 @@ def boundary_integral(f, triangulation):
         raise DimensionUnsupported("boundary integral implemented for polygons")
     _check_cells(f, triangulation, LinearityViolation)
     total = Fraction(0)
-    for wall, cells in _walls(triangulation.masks).items():
+    for wall, cells in _walls(engine(triangulation.config), triangulation.masks).items():
         if len(cells) == 1:
             a, b = _labels(wall)
             length = lattice_length(f.config.point(a), f.config.point(b))

@@ -4,10 +4,12 @@ A triangulation is the sorted tuple of its cell bitmasks (bit i-1 =
 label i); the sorted-label view and its string encoding are derived on
 first use. A per-configuration engine caches simplex volumes, affine
 dependences, each cell's labels and text (and the mask of each text),
-each cell's weight shares (see weights) and each cell's 96-bit key (see
-Engine.digest), since enumeration revisits the same small sets
-constantly. The dependences decide containment too: a point lies in a
-full-dimensional cell iff it is alone on its side of their circuit.
+each cell's weight shares (see weights), each cell's 96-bit key (see
+Engine.digest), each cell's walls, and the checked (circuit, apex) of
+each pair of cells across a wall (see Engine.wall_circuits), since
+enumeration revisits the same small sets constantly. The dependences
+decide containment too: a point lies in a full-dimensional cell iff it
+is alone on its side of their circuit.
 
 Fold rows and flips read one circuit list per triangulation,
 `Engine.circuits`: the circuit of the two cells across each interior
@@ -15,8 +17,11 @@ wall, and of each unused point with the cell that holds it, each row
 once. Each is a wall inequality of the secondary cone, and each may
 support a flip. A caller that holds the list passes it on, to
 `regular_quick` (and so `fold_rows`) and, as its circuits, to
-`supported_flips`, which finds each circuit's present side in one pass
-over the cells and leaves it on the triangulation for `flip`.
+`supported_flips`. That finds each circuit's present side by the size of
+its support (see _present_side): with n+2 points, by whether each
+simplex of a side is a cell; with n+1, from the cells holding each such
+simplex as a wall; with fewer, in one pass over the cells. It leaves the
+sides on the triangulation for `flip`.
 
 A flip crosses one wall of the secondary fan (GKZ; De Loera-Rambau-Santos,
 *Triangulations*, ch. 5), so the strictly convex heights of the
@@ -89,9 +94,18 @@ class Circuit:
     minus: int
     coeffs: tuple  # ((label, coeff), ...) sorted by label
 
-    @property
+    @cached_property
     def support(self):
         return self.plus | self.minus
+
+    @cached_property
+    def taus(self):
+        """{sign class: the support minus each point of it, ascending}, for
+        plus and minus: the simplices a flip's cells hold on one side."""
+        return {
+            side: [self.support ^ (1 << i) for i in bit_indices(side)]
+            for side in (self.plus, self.minus)
+        }
 
     def __repr__(self):
         return f"Circuit(+{list(_labels(self.plus))}, -{list(_labels(self.minus))})"
@@ -171,7 +185,7 @@ class Triangulation:
             raise VolumeMismatch(f"cells fill {total}, hull has {eng.hull_volume}")
         if len(set(self.masks)) != len(self.masks):
             raise OverlapNotFace("a cell appears twice")
-        walls = _walls(self.masks)
+        walls = _walls(eng, self.masks)
         inside = [wall for wall, owners in walls.items() if len(owners) == 1]
         for facet in self.config.face_point_masks(eng.n - 1):
             inside = [wall for wall in inside if wall & ~facet]
@@ -184,16 +198,24 @@ class Triangulation:
         return True
 
 
-def _walls(masks):
+def _walls(eng, masks):
     """Each wall of the cells (a cell minus one point), mapped to the cells
-    holding it in the order given."""
+    holding it in the order given. Each cell's walls are read from the
+    engine's memo, `cell_walls`."""
     walls = {}
+    memo = eng.cell_walls
     for cm in masks:
-        mm = cm
-        while mm:
-            low = mm & (-mm)
-            walls.setdefault(cm ^ low, []).append(cm)
-            mm ^= low
+        own = memo.get(cm)
+        if own is None:
+            own = tuple(cm ^ (1 << i) for i in bit_indices(cm))
+            if cm.bit_count() == eng.n + 1 and not cm >> eng.m:
+                memo[cm] = own
+        for wall in own:
+            holders = walls.get(wall)
+            if holders is None:
+                walls[wall] = [cm]
+            else:
+                holders.append(cm)
     return walls
 
 
@@ -238,6 +260,11 @@ class Engine:
         self.refutations = {}
         # the 96-bit key of each cell mask met; see digest
         self._keys = {}
+        # the n+1 walls of each cell mask met, read by _walls
+        self.cell_walls = {}
+        # {(a, b): (circuit, apex label)} of each pair of cells across a
+        # wall whose fold wall_circuits has checked and passed
+        self.wall_pairs = {}
 
     def points_of(self, mask):
         return [self.pts[i] for i in bit_indices(mask)]
@@ -343,24 +370,30 @@ class Engine:
         """(circuit of its two cells, apex label) for each wall of `walls`
         (see _walls) held by two cells, in order; the apex is the first
         cell's point off the wall. Raises CheckFailed if a wall is held by
-        more than two cells, or its two cells lie on one side of it."""
+        more than two cells, or its two cells lie on one side of it. Each
+        pair that passes is kept in `wall_pairs`, and one that fails is
+        not, so it fails on every call."""
         out = []
+        pairs = self.wall_pairs
         for wall, owners in walls.items():
             if len(owners) == 1:
                 continue
             if len(owners) != 2:
                 raise CheckFailed("wall shared by more than two cells")
             a, b = owners
-            circ = self.circuit_of(a | b)
-            apex, other = a & ~wall, b & ~wall
-            # opposite sides of the wall are one sign class of its circuit
-            if (
-                circ is None
-                or not apex & circ.support
-                or not other & (circ.plus if apex & circ.plus else circ.minus)
-            ):
-                raise CheckFailed(f"cells {_labels(a)} and {_labels(b)} fold onto one side")
-            out.append((circ, apex.bit_length()))
+            pair = pairs.get((a, b))
+            if pair is None:
+                circ = self.circuit_of(a | b)
+                apex, other = a & ~wall, b & ~wall
+                # opposite sides of the wall are one sign class of its circuit
+                if (
+                    circ is None
+                    or not apex & circ.support
+                    or not other & (circ.plus if apex & circ.plus else circ.minus)
+                ):
+                    raise CheckFailed(f"cells {_labels(a)} and {_labels(b)} fold onto one side")
+                pair = pairs[(a, b)] = circ, apex.bit_length()
+            out.append(pair)
         return out
 
     def circuits(self, masks, walls=None):
@@ -375,9 +408,9 @@ class Engine:
         all walls of one circuit are one wall of the secondary fan. Raises
         CheckFailed when the cells do not fold like a triangulation (see
         wall_circuits) or a point is outside every cell. `walls` is
-        _walls(masks), if the caller has it.
+        _walls(self, masks), if the caller has it.
         """
-        out = self.wall_circuits(_walls(masks) if walls is None else walls)
+        out = self.wall_circuits(_walls(self, masks) if walls is None else walls)
         for i in bit_indices(self.full_mask & ~reduce(or_, masks, 0)):
             host = next((cm for cm in masks if self.cell_contains(cm, i + 1)), None)
             if host is None:
@@ -674,39 +707,64 @@ def supported_flips(triangulation, circuits=None):
     `circuits` are the circuits of the triangulation's Engine.circuits
     pairs, if the caller has them; each comes once, since no circuit of a
     triangulation has apexes on both of its sides. The present side
-    found for each is left on the triangulation, so flip and flip_digest
-    do not look for it again.
+    found for each (see _present_side) is left on the triangulation, so
+    flip and flip_digest do not look for it again.
     """
+    eng = engine(triangulation.config)
     masks = triangulation.masks
     if circuits is None:
-        circuits = [c for c, _ in engine(triangulation.config).circuits(masks)]
+        circuits = [c for c, _ in eng.circuits(masks)]
+    cells, walls = set(masks), _walls(eng, masks)
     sides = triangulation._sides = {}
     for c in circuits:
-        side = _present_side(masks, c)
+        side = _present_side(c, masks, cells, walls, eng.n)
         if side is not None:
             sides[c.support] = side
     return [c for c in circuits if c.support in sides]
 
 
-def _present_side(masks, circ):
+def _present_side(circ, masks, cells, walls, n):
     """The side of the circuit present in T as (taus, link, new), or None.
 
     T holds every cell tau | lam, for tau the support minus one point of
     one side and lam in the link; the flip replaces them by the cells
     made with the points of the other side, `new` (a mask). No cell holds
     the whole support, so the cells holding tau are those meeting the
-    support in exactly tau: one pass groups the cells' links by that
-    meet, and a side is present when all its taus share one non-empty
-    link. The plus side (cells using all of circ.plus) is tried first.
+    support in exactly tau, and a side is present when all its taus share
+    one non-empty link. `cells` is the set of the masks and `walls` their
+    _walls map. How the link of tau is found depends on the support's size:
+
+    - n+2 points: tau has n+1 and is a cell or not, so its link is [0]
+      when tau is in `cells`;
+    - n+1 points: tau is a wall, and its link is read from its owners;
+    - fewer points: one pass groups the cells' links by their meet.
+
+    The plus side (cells using all of circ.plus) is tried first.
     """
     smask = circ.support
-    links = {}
-    for c in masks:
-        links.setdefault(c & smask, []).append(c & ~smask)
-    for old, new in ((circ.minus, circ.plus), (circ.plus, circ.minus)):
-        taus = [smask ^ (1 << i) for i in bit_indices(old)]
-        link = links.get(taus[0])
-        if link and all(links.get(tau) == link for tau in taus[1:]):
+    size = smask.bit_count()
+    sides = (circ.minus, circ.plus), (circ.plus, circ.minus)
+    if size == n + 2:
+        for old, new in sides:
+            taus = circ.taus[old]
+            if cells.issuperset(taus):
+                return taus, [0], new
+        return None
+    keep = ~smask
+    if size == n + 1:  # each tau is a wall, held by the cells of its link
+
+        def link_of(tau):
+            return [c & keep for c in walls.get(tau, ())]
+
+    else:  # one pass groups the cells by their meet with the support
+        links = {}
+        for c in masks:
+            links.setdefault(c & smask, []).append(c & keep)
+        link_of = links.get
+    for old, new in sides:
+        taus = circ.taus[old]
+        link = link_of(taus[0])
+        if link and all(link_of(tau) == link for tau in taus[1:]):
             return taus, link, new
     return None
 
@@ -718,7 +776,7 @@ def _flipped_cells(circuit, side):
     distinct."""
     taus, link, new = side
     removed = [tau | lam for tau in taus for lam in link]
-    created = [(circuit.support ^ (1 << i)) | lam for i in bit_indices(new) for lam in link]
+    created = [tau | lam for tau in circuit.taus[new] for lam in link]
     return removed, created
 
 
@@ -736,7 +794,9 @@ def flip(triangulation, circuit):
     """Apply the circuit flip; UnsupportedFlip if it does not apply."""
     eng = engine(triangulation.config)
     masks = triangulation.masks
-    side = (triangulation._sides or {}).get(circuit.support) or _present_side(masks, circuit)
+    side = (triangulation._sides or {}).get(circuit.support) or _present_side(
+        circuit, masks, set(masks), _walls(eng, masks), eng.n
+    )
     if side is None:
         raise UnsupportedFlip(f"{circuit} is not supported")
     removed, created = _flipped_cells(circuit, side)

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -236,6 +237,21 @@ def test_corrupt_checkpoint_is_reported(tmp_path):
         fh.writelines(lines)
     with pytest.raises(CheckpointCorrupt):
         enumerate_regular(SQUARE, checkpoint_path=path, resume=True)
+
+
+@pytest.mark.parametrize("version", [True, 1.0, 3.0, "3", None])
+def test_a_header_version_of_another_type_is_corrupt(tmp_path, version):
+    # a version that only compares equal to a supported one is not one:
+    # true would otherwise be read as a version 1 file, whose records are trusted
+    path = str(tmp_path / "hex.ckpt")
+    enumerate_regular(HEXAGON, checkpoint_path=path)
+    records = _records(path)
+    records[0]["version"] = version
+    _write_records(path, records)
+    with pytest.raises(CheckpointCorrupt, match="unsupported version"):
+        read_checkpoint(path)
+    with pytest.raises(CheckpointCorrupt, match="unsupported version"):
+        enumerate_regular(HEXAGON, checkpoint_path=path, resume=True)
 
 
 def _records(path):
@@ -627,8 +643,10 @@ def test_flips_undo_and_quick_regularity_agrees(config):
     full.frame = ()  # fold rows over every column
     for enc in accepted(config):
         t = Triangulation.decode(config, enc)
+        cells, walls = set(t.masks), triangulation._walls(eng, t.masks)
         for circ, _ in eng.circuits(t.masks):
-            assert triangulation._present_side(t.masks, circ) == present_side(t.masks, circ)
+            side = triangulation._present_side(circ, t.masks, cells, walls, eng.n)
+            assert side == present_side(t.masks, circ)
         _, parent = eng.regular_quick(t.masks)
         for circ in supported_flips(t):
             nb = flip(t, circ)
@@ -739,7 +757,7 @@ def test_a_fresh_pooled_run_starts_no_pool(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a fresh walk started a pool")
 
-    monkeypatch.setattr(enumeration.multiprocessing, "Pool", no_pool)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     calls = counted_lp(monkeypatch)
     pooled = accepted(prism_configuration(fixture("4b")), jobs=2)
     lps = len(calls)
@@ -757,13 +775,13 @@ def test_a_resumed_pooled_run_starts_one_pool(tmp_path, monkeypatch):
         enumerate_regular(config, budget=400, checkpoint_path=stopped)
     _write_records(stopped, _as_version_2(_records(stopped)))
     pools = []
-    real = enumeration.multiprocessing.Pool
+    real = multiprocessing.Pool
 
     def counted_pool(*args, **kwargs):
         pools.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(enumeration.multiprocessing, "Pool", counted_pool)
+    monkeypatch.setattr(multiprocessing, "Pool", counted_pool)
     streams = {}
     for jobs in (1, 2):
         path = shutil.copy(stopped, tmp_path / f"jobs{jobs}.ckpt")
@@ -783,7 +801,7 @@ def test_a_resumed_pooled_run_starts_no_pool(tmp_path, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a resumed version 3 walk started a pool")
 
-    monkeypatch.setattr(enumeration.multiprocessing, "Pool", no_pool)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     calls = counted_lp(monkeypatch)
     streams, lps = {}, {}
     for jobs in (1, 2, 8):

@@ -2,6 +2,7 @@ import json
 import math
 import random
 import weakref
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from operator import or_
@@ -359,6 +360,26 @@ def test_cells_sharing_a_wall_three_ways_have_no_circuit_list():
         engine(hexagon).fold_rows(t.masks)
 
 
+def test_cells_folding_onto_one_side_fail_on_every_call():
+    # the engine keeps each checked pair of cells across a wall, and never
+    # one that fails: 1,2,3 and 1,2,4 lie on one side of their wall 1-2, and
+    # the check fails again on every call, also once the valid
+    # triangulations of the square have filled the pair memo
+    square = PointConfiguration(SQUARE.points)
+    eng = engine(square)
+    t = Triangulation(square, [(1, 2, 3), (1, 2, 4)])
+    with pytest.raises(CheckFailed, match="fold onto one side"):
+        eng.circuits(t.masks)
+    assert enumerate_regular(square) == 2
+    assert len(eng.wall_pairs) == 2
+    for _ in range(2):
+        with pytest.raises(CheckFailed, match="fold onto one side"):
+            eng.circuits(t.masks)
+        with pytest.raises(CheckFailed, match="fold onto one side"):
+            supported_flips(t)
+    assert t.masks not in eng.wall_pairs and len(eng.wall_pairs) == 2
+
+
 def test_placing_square_is_deterministic():
     assert placing_triangulation(SQUARE).encode() == "1,2,3;1,3,4"
 
@@ -546,20 +567,22 @@ def test_hinted_decisions_on_prisms_agree_with_is_regular(name, monkeypatch):
 @pytest.mark.parametrize("name, count", [("4b", 1270), ("5a", 26540)])
 def test_grouped_sides_equal_the_scan(name, count, monkeypatch):
     # every circuit the walk asks about, supported or not, on every
-    # regular triangulation of the prism: one grouping pass finds the side
-    # the per-point scan finds
-    grouped = triangulation._present_side
-    asked = []
+    # regular triangulation of the prism: the side supported_flips'
+    # dispatcher finds is the one the per-point scan finds, by each of its
+    # three ways (the support has n+2 points, n+1, or fewer)
+    found = triangulation._present_side
+    asked = Counter()
 
-    def checked(masks, circ):
-        side = grouped(masks, circ)
+    def checked(circ, masks, cells, walls, n):
+        side = found(circ, masks, cells, walls, n)
         assert side == present_side(masks, circ)
-        asked.append(side is not None)
+        asked[max(circ.support.bit_count() - n, 0), side is not None] += 1
         return side
 
     monkeypatch.setattr(triangulation, "_present_side", checked)
     assert enumerate_regular(prism_configuration(fixture(name))) == count
-    assert 0 < sum(asked) < len(asked)
+    assert {size for size, _ in asked} == {2, 1, 0}
+    assert {supported for _, supported in asked} == {True, False}
 
 
 _END = st.one_of(st.none(), st.tuples(st.integers(-60, 60), st.integers(1, 12)))
